@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
 
 from .f2linalg import BitMatrix, rank, solve_preimage
 
@@ -183,14 +184,12 @@ def weight(f: BooleanFunction) -> int:
     return f.tt.bit_count()
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def support(f: BooleanFunction) -> set[int]:
-    out = set()
-    tt = f.tt
-    while tt:
-        low = tt & -tt
-        out.add(low.bit_length() - 1)
-        tt ^= low
-    return out
+    flags = bin(f.tt)[:1:-1].encode().translate(_DIGIT_VALUES)  # one 0/1 byte per point, point 0 first
+    return set(compress(count(), flags))
 
 
 def _check_same_n(f: BooleanFunction, g: BooleanFunction) -> None:

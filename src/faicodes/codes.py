@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import f2linalg
 from .f2linalg import BitMatrix, gram, rank, rref
-from .gf2m import FieldGF2n, enumerate_points, field_new, point_index
+from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus, point_index
 from .boolfun import monomials_by_degree
 
 MIN_WEIGHT_DIM_GUARD = 24
@@ -53,12 +53,9 @@ def full_code(length: int) -> LinearCode:
 
 
 @lru_cache(maxsize=None)
-def _rm_default(d: int, n: int) -> LinearCode:
-    return _rm_build(d, n, field_new(n))
-
-
-def _rm_build(d: int, n: int, field: FieldGF2n) -> LinearCode:
-    points = [point_index(p) for p in enumerate_points(field)]
+def _rm_cached(d: int, n: int, modulus: int) -> LinearCode:
+    """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus."""
+    points = [point_index(p) for p in enumerate_points(field_with_modulus(n, modulus))]
     rows = []
     for level in monomials_by_degree(n)[: d + 1]:
         for m in level:
@@ -75,10 +72,10 @@ def rm(d: int, n: int, field: FieldGF2n | None = None) -> LinearCode:
     if not 0 <= d <= n:
         raise ValueError(f"order {d} out of range 0..{n}")
     if field is None:
-        return _rm_default(d, n)
-    if field.n != n:
+        field = field_new(n)
+    elif field.n != n:
         raise ValueError("field degree does not match the variable count")
-    return _rm_build(d, n, field)
+    return _rm_cached(d, n, field.modulus)
 
 
 def column_points(n: int, field: FieldGF2n | None = None) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .boolfun import (
     monomial_tt,
     monomials_by_degree,
 )
-from .f2linalg import BitMatrix, kernel_basis, rref, solve_preimage
+from .f2linalg import BitMatrix, rref, solve_preimage
 
 logger = logging.getLogger(__name__)
 
@@ -73,72 +74,46 @@ class FaiResult:
         return self.profile_bound != self.value
 
 
-def _support(tt: int) -> list[int]:
-    out = []
-    while tt:
-        low = tt & -tt
-        out.append(low.bit_length() - 1)
-        tt ^= low
-    return out
+def _first_annihilator(f: BooleanFunction, e: int) -> tuple[int, int] | None:
+    """(degree, ANF) of the first nonzero annihilator of f of degree <= e, or None.
 
-
-def _int_rank(rows: list[int]) -> int:
+    The columns f*m, for the monomials m in degree order, go into one XOR
+    basis; the high 2^n bits of a row hold the column and the low 2^n bits
+    the monomials it combines.  The first column that reduces to zero closes
+    the first dependency: its degree is lda(f), and its combination (unique,
+    the earlier columns being independent) is the annihilator that the
+    kernel of the evaluation matrix yields first.
+    """
+    n = f.n
+    size = 1 << n
     basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            other = basis.get(lead)
-            if other is None:
-                basis[lead] = row
-                break
-            row ^= other
-    return len(basis)
-
-
-def _evaluation_rows(points: list[int], monos: list[int]) -> list[int]:
-    """One row per point; bit j set iff monomial monos[j] evaluates to 1 there."""
-    rows = []
-    for pt in points:
-        acc = 0
-        for j, m in enumerate(monos):
-            if pt & m == m:
-                acc |= 1 << j
-        rows.append(acc)
-    return rows
+    for d, level in enumerate(monomials_by_degree(n)[: e + 1]):
+        for m in level:
+            row = (f.tt & monomial_tt(m, n)) << size | 1 << m
+            while (lead := row.bit_length() - 1) >= size:
+                other = basis.get(lead)
+                if other is None:
+                    basis[lead] = row
+                    break
+                row ^= other
+            else:
+                return d, row
+    return None
 
 
 def lda(f: BooleanFunction) -> int | None:
     """Lowest degree of a nonzero annihilator of f; None when f is all-ones."""
-    if f.tt == 0:
-        return 0
-    if f.tt == (1 << f.size) - 1:
-        return None
-    sup = _support(f.tt)
-    levels = monomials_by_degree(f.n)
-    monos: list[int] = []
-    for e in range(f.n + 1):
-        monos.extend(levels[e])
-        if _int_rank(_evaluation_rows(sup, monos)) < len(monos):
-            return e
-    raise AssertionError("a function with a zero has an annihilator of degree <= n")
+    hit = _first_annihilator(f, f.n)
+    return None if hit is None else hit[0]
 
 
 def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
     """A nonzero g with deg(g) <= e and f*g = 0, verified, or None."""
-    sup = _support(f.tt)
-    monos = [m for level in monomials_by_degree(f.n)[: min(e, f.n) + 1] for m in level]
-    matrix = BitMatrix.from_rows(_evaluation_rows(sup, monos), len(monos))
-    kern = kernel_basis(matrix)
-    if kern.rows == 0:
+    hit = _first_annihilator(f, min(e, f.n))
+    if hit is None:
         return None
-    combo = kern.data[0]
-    coeffs = 0
-    while combo:
-        low = combo & -combo
-        coeffs |= 1 << monos[low.bit_length() - 1]
-        combo ^= low
-    g = Anf(f.n, coeffs)
-    if f.tt & mobius(coeffs, f.n):
+    g = Anf(f.n, hit[1])
+    if f.tt & mobius(g.coeffs, f.n):
         raise AssertionError("annihilator witness failed the product check")
     return g
 
@@ -199,7 +174,8 @@ class _DegreeBasis:
         self.pos, self.masks, self.deg_at = _degree_order(n)
         self.table: dict[int, int] = {}
 
-    def insert_anf(self, coeffs: int) -> None:
+    def insert_anf(self, coeffs: int) -> bool:
+        """Add one ANF; False when it reduces to zero (it depends on the rows so far)."""
         row = _permute(coeffs, self.pos)
         table = self.table
         while row:
@@ -207,46 +183,14 @@ class _DegreeBasis:
             other = table.get(lead)
             if other is None:
                 table[lead] = row
-                return
+                return True
             row ^= other
+        return False
 
     def rows_by_degree(self) -> list[tuple[int, int]]:
         """(degree, permuted row) pairs sorted by degree."""
         deg_at = self.deg_at
         return sorted((deg_at[lead], row) for lead, row in self.table.items())
-
-    def min_degree(self) -> int | None:
-        if not self.table:
-            return None
-        return min(self.deg_at[lead] for lead in self.table)
-
-
-def _mu_sequence(f: BooleanFunction, upto: int) -> list[int | None]:
-    """[mu_1(f), ..., mu_upto(f)] computed on one growing product basis."""
-    n = f.n
-    basis = _DegreeBasis(n)
-    levels = monomials_by_degree(n)
-    if f.tt:
-        basis.insert_anf(mobius(f.tt, n))  # product with the constant monomial
-    out: list[int | None] = []
-    for k in range(1, upto + 1):
-        for m in levels[k]:
-            prod = f.tt & monomial_tt(m, n)
-            if prod:
-                basis.insert_anf(mobius(prod, n))
-        out.append(basis.min_degree())
-    return out
-
-
-def mu(f: BooleanFunction, k: int) -> int | None:
-    """Minimum degree over the nonzero products f*g with deg(g) <= k; None if none."""
-    if not 1 <= k <= f.n:
-        raise ValueError(f"k = {k} out of range 1..{f.n}")
-    return _mu_sequence(f, k)[-1]
-
-
-def profile(f: BooleanFunction) -> ImmunityProfile:
-    return ImmunityProfile(f.n, tuple(_mu_sequence(f, f.n)))
 
 
 def _admissible_mu(
@@ -273,6 +217,52 @@ def _admissible_mu(
     return None, None
 
 
+class _Layer(NamedTuple):
+    """The product basis of f once every monomial of degree <= k is in."""
+
+    k: int
+    mu: int | None  # mu_k(f)
+    mu_adm: int | None  # mu'_k: the minimum over g not in {0, 1}
+    row: int | None  # a permuted basis row of degree mu'_k; None when that product is f
+    lda: int | None  # lda(f) when it is <= k, else None
+
+
+def _layers(f: BooleanFunction) -> Iterator[_Layer]:
+    """Insert each product f*m once, monomials in degree order; yield k = 1..n.
+
+    The first product that is zero or dependent marks the lowest-degree
+    annihilator, so lda(f) comes with the pass.
+    """
+    n = f.n
+    basis = _DegreeBasis(n)
+    anf_f_perm = _permute(mobius(f.tt, n), basis.pos)
+    lda_f: int | None = None
+    for k, level in enumerate(monomials_by_degree(n)):
+        for m in level:
+            if not basis.insert_anf(mobius(f.tt & monomial_tt(m, n), n)) and lda_f is None:
+                lda_f = k
+        if k:
+            rows = basis.rows_by_degree()
+            mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
+            yield _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f)
+
+
+def _best_layer(layers: Iterable[_Layer]) -> _Layer:
+    """The first layer with the least k + mu'_k (f nonzero)."""
+    return min((lay for lay in layers if lay.mu_adm is not None), key=lambda lay: lay.k + lay.mu_adm)
+
+
+def mu(f: BooleanFunction, k: int) -> int | None:
+    """Minimum degree over the nonzero products f*g with deg(g) <= k; None if none."""
+    if not 1 <= k <= f.n:
+        raise ValueError(f"k = {k} out of range 1..{f.n}")
+    return next(layer.mu for layer in _layers(f) if layer.k == k)
+
+
+def profile(f: BooleanFunction) -> ImmunityProfile:
+    return ImmunityProfile(f.n, tuple(layer.mu for layer in _layers(f)))
+
+
 def fai(f: BooleanFunction) -> FaiResult:
     """Fast algebraic immunity with a verified optimal witness.
 
@@ -283,34 +273,17 @@ def fai(f: BooleanFunction) -> FaiResult:
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
-    n = f.n
-    lda_f = lda(f)
-    levels = monomials_by_degree(n)
-    basis = _DegreeBasis(n)
-    anf_f = mobius(f.tt, n)
-    anf_f_perm = _permute(anf_f, basis.pos)
-    basis.insert_anf(anf_f)
+    return _fai(f, list(_layers(f)))
 
-    best: tuple[int, int] | None = None  # (total, k)
-    profile_bound: int | None = None
-    for k in range(1, n + 1):
-        for m in levels[k]:
-            prod = f.tt & monomial_tt(m, n)
-            if prod:
-                basis.insert_anf(mobius(prod, n))
-        rows = basis.rows_by_degree()
-        if rows:
-            plain = k + rows[0][0]
-            if profile_bound is None or plain < profile_bound:
-                profile_bound = plain
-        annihilators_ok = lda_f is not None and lda_f <= k
-        mu_eff, _ = _admissible_mu(rows, anf_f_perm, annihilators_ok)
-        if mu_eff is not None and (best is None or k + mu_eff < best[0]):
-            best = (k + mu_eff, k)
-    if best is None or profile_bound is None:
-        raise AssertionError("a nonzero function always has admissible products")
-    value, k_star = best
-    witness = _extract_witness(f, k_star, value - k_star, lda_f, anf_f, anf_f_perm)
+
+def _fai(f: BooleanFunction, layers: list[_Layer]) -> FaiResult:
+    # mu' and the witness route hang on the annihilator status: check it by the column route
+    if layers[-1].lda != lda(f):
+        raise AssertionError("the product pass and the column route disagree on lda(f)")
+    best = _best_layer(layers)
+    value = best.k + best.mu_adm
+    profile_bound = ImmunityProfile(f.n, tuple(layer.mu for layer in layers)).min_k_plus_mu()
+    witness = _extract_witness(f, best)
     if value != profile_bound:
         logger.info(
             "FAI definition (%d) differs from the profile bound min_k(k + mu_k) = %d "
@@ -326,43 +299,19 @@ def fai(f: BooleanFunction) -> FaiResult:
     return FaiResult(value, witness, profile_bound)
 
 
-def _extract_witness(
-    f: BooleanFunction,
-    k: int,
-    d: int,
-    lda_f: int | None,
-    anf_f: int,
-    anf_f_perm: int,
-) -> FaiWitness:
-    n = f.n
-    monos = [m for level in monomials_by_degree(n)[: k + 1] for m in level]
-    prod_anfs = [mobius(f.tt & monomial_tt(m, n), n) for m in monos]
-
-    local = _DegreeBasis(n)
-    for a in prod_anfs:
-        if a:
-            local.insert_anf(a)
-    annihilators_ok = lda_f is not None and lda_f <= k
-    mu_eff, vrow = _admissible_mu(local.rows_by_degree(), anf_f_perm, annihilators_ok)
-    if mu_eff != d:
-        raise AssertionError("witness extraction disagrees with the layered search")
-
-    if vrow is None:
+def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
+    n, k = f.n, layer.k
+    if layer.row is None:
         # product is f itself; g = 1 + annihilator of degree exactly lda(f) = k
         ann = annihilator_witness(f, k)
         if ann is None:
             raise AssertionError("annihilator route selected without annihilators")
         g_coeffs = ann.coeffs ^ 1
-        v_anf = anf_f
+        v_anf = mobius(f.tt, n)
     else:
-        inv = local.masks
-        v_anf = 0
-        row = vrow
-        while row:
-            low = row & -row
-            v_anf |= 1 << inv[low.bit_length() - 1]
-            row ^= low
-        matrix = BitMatrix.from_rows(prod_anfs, 1 << n)
+        v_anf = _permute(layer.row, _degree_order(n)[1])
+        monos = [m for level in monomials_by_degree(n)[: k + 1] for m in level]
+        matrix = BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
         combo = solve_preimage(matrix, v_anf)
         if combo is None:
             raise AssertionError("admissible product is outside the product span")
@@ -390,7 +339,13 @@ def ffai(f: BooleanFunction) -> int:
     if f.is_constant():
         raise ValueError("FFAI is undefined for constant functions")
     full = (1 << f.size) - 1
-    return min(fai(f).value, fai(BooleanFunction(f.n, f.tt ^ full)).value)
+    return min(_fai_value(f), _fai_value(BooleanFunction(f.n, f.tt ^ full)))
+
+
+def _fai_value(f: BooleanFunction) -> int:
+    """FAI(f) of a nonzero f from one product pass, without a witness."""
+    best = _best_layer(_layers(f))
+    return best.k + best.mu_adm
 
 
 def is_pai(f: BooleanFunction) -> bool:
@@ -418,19 +373,11 @@ def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
         raise ValueError("supply a degree cap for n > 5 (search-space guard)")
     if n > 6:
         raise ValueError("direct search supports n <= 6 (64-bit truth tables)")
-    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
-    count = len(monos)
+    count = sum(len(level) for level in monomials_by_degree(n)[: eff + 1])
     if count > 20:
         raise ValueError(f"search space 2^{count} exceeds the enumeration guard")
 
-    idx = np.arange(1, 1 << count, dtype=np.uint32)
-    g_tt = np.zeros(idx.shape, dtype=np.uint64)
-    g_deg = np.zeros(idx.shape, dtype=np.int8)
-    for t, m in enumerate(monos):
-        chosen = ((idx >> np.uint32(t)) & np.uint32(1)).astype(bool)
-        g_tt[chosen] ^= np.uint64(monomial_tt(m, n))
-        np.maximum(g_deg, np.where(chosen, np.int8(m.bit_count()), np.int8(0)), out=g_deg)
-
+    idx, g_tt, g_deg = _g_table(n, eff)
     prod = g_tt & np.uint64(f.tt)
     anf = prod.copy()
     for shift, mask in _vector_butterfly(n):
@@ -446,6 +393,25 @@ def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
     return int(totals.min())
 
 
+@lru_cache(maxsize=8)
+def _g_table(n: int, eff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero g with deg(g) <= eff: (selector index, truth table, degree), read-only.
+
+    Selector bit t picks the t-th monomial in degree order, so index 1 is g = 1.
+    """
+    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
+    idx = np.arange(1, 1 << len(monos), dtype=np.uint32)
+    g_tt = np.zeros(idx.shape, dtype=np.uint64)
+    g_deg = np.zeros(idx.shape, dtype=np.int8)
+    for t, m in enumerate(monos):
+        chosen = ((idx >> np.uint32(t)) & np.uint32(1)).astype(bool)
+        g_tt[chosen] ^= np.uint64(monomial_tt(m, n))
+        np.maximum(g_deg, np.where(chosen, np.int8(m.bit_count()), np.int8(0)), out=g_deg)
+    for table in (idx, g_tt, g_deg):
+        table.flags.writeable = False
+    return idx, g_tt, g_deg
+
+
 @lru_cache(maxsize=None)
 def _vector_butterfly(n: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
     from .boolfun import _butterfly_masks  # shares the scalar transform's masks
@@ -454,23 +420,29 @@ def _vector_butterfly(n: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
 
 
 def function_report(f: BooleanFunction) -> dict:
-    """The per-function analysis record (tt, degrees, immunities, witness)."""
+    """The per-function analysis record (tt, degrees, immunities, witness).
+
+    One product pass on f gives the profile, FAI and its witness; a
+    value-only pass on 1+f gives FFAI; the column route gives both LDAs.
+    """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
     full = (1 << f.size) - 1
     fc = BooleanFunction(f.n, f.tt ^ full)
-    res = fai(f)
+    layers = list(_layers(f))
+    res = _fai(f, layers)
+    lda_f, lda_fc = lda(f), lda(fc)
     record = {
         "tt": format_function(f),
         "n": f.n,
         "deg": anf_of(f).degree(),
         "wt": f.tt.bit_count(),
-        "ai": ai(f),
-        "lda_f": lda(f),
-        "lda_fc": lda(fc),
-        "profile": list(profile(f).mu),
+        "ai": min(v for v in (lda_f, lda_fc) if v is not None),
+        "lda_f": lda_f,
+        "lda_fc": lda_fc,
+        "profile": [layer.mu for layer in layers],
         "fai": res.value,
-        "ffai": None if f.is_constant() else ffai(f),
+        "ffai": None if f.is_constant() else min(res.value, _fai_value(fc)),
         "witness_g": format_anf(res.witness.g),
         "witness_total": res.witness.total,
     }

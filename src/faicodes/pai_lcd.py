@@ -163,15 +163,8 @@ def pai_certificate(f: BooleanFunction, field: FieldGF2n | None = None) -> dict:
     per_e = []
     for e in range(1, n + 1):
         code = _restricted_rm(e, n, sc, resolved)
-        per_e.append(
-            {
-                "e": e,
-                "length": code.length,
-                "dim": code.dim,
-                "hull": hull_dim(code),
-                "lcd": is_lcd(code),
-            }
-        )
+        hull = hull_dim(code)
+        per_e.append({"e": e, "length": code.length, "dim": code.dim, "hull": hull, "lcd": hull == 0})
     value = fai(f).value
     by_def = value >= n
     by_lcd = all(entry["lcd"] for entry in per_e)

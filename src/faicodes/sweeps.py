@@ -11,6 +11,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -87,10 +88,11 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, prop: str, detail: str) -> None:
+    def check(self, condition: bool, prop: str, detail: str | Callable[[], str]) -> None:
+        """Count one check; a callable detail is formatted only when the check fails."""
         self.checks += 1
         if not condition:
-            self.failures.append(f"{prop}: {detail}")
+            self.failures.append(f"{prop}: {detail() if callable(detail) else detail}")
 
 
 def _fmt(f: BooleanFunction) -> str:
@@ -115,29 +117,29 @@ def sweep_mobius_algebra(n: int, trials: int, seed: int) -> SweepReport:
     for _ in range(trials):
         f = random_function(n, rng)
         g = random_function(n, rng)
-        rep.check(tt_of(anf_of(f)).tt == f.tt, "mobius-involution", _fmt(f))
+        rep.check(tt_of(anf_of(f)).tt == f.tt, "mobius-involution", lambda: _fmt(f))
         a = Anf(n, rng.getrandbits(1 << n))
-        rep.check(anf_of(tt_of(a)).coeffs == a.coeffs, "mobius-involution-anf", f"{n}:{a.coeffs:X}")
-        rep.check(multiply(f, complement(f)).tt == 0, "f*(1+f)=0", _fmt(f))
-        rep.check(add(f, f).tt == 0, "f+f=0", _fmt(f))
+        rep.check(anf_of(tt_of(a)).coeffs == a.coeffs, "mobius-involution-anf", lambda: f"{n}:{a.coeffs:X}")
+        rep.check(multiply(f, complement(f)).tt == 0, "f*(1+f)=0", lambda: _fmt(f))
+        rep.check(add(f, f).tt == 0, "f+f=0", lambda: _fmt(f))
         wf, wg = weight(f), weight(g)
         rep.check(
             weight(add(f, g)) == wf + wg - 2 * weight(multiply(f, g)),
             "weight-identity",
-            f"{_fmt(f)} {_fmt(g)}",
+            lambda: f"{_fmt(f)} {_fmt(g)}",
         )
         rep.check(
             degree(multiply(f, g)) <= degree(f) + degree(g),
             "deg-product-bound",
-            f"{_fmt(f)} {_fmt(g)}",
+            lambda: f"{_fmt(f)} {_fmt(g)}",
         )
-        rep.check(len(support(f)) == wf, "support-size", _fmt(f))
+        rep.check(len(support(f)) == wf, "support-size", lambda: _fmt(f))
         fc = algebraic_complement(f)
-        rep.check(algebraic_complement(fc).tt == f.tt, "alg-complement-involution", _fmt(f))
+        rep.check(algebraic_complement(fc).tt == f.tt, "alg-complement-involution", lambda: _fmt(f))
         rep.check(
             anf_of(fc).coeffs == anf_of(f).coeffs ^ _all_ones(n),
             "alg-complement-flips-anf",
-            _fmt(f),
+            lambda: _fmt(f),
         )
         if n >= 2:
             g0 = random_function(n - 1, rng)
@@ -147,7 +149,7 @@ def sweep_mobius_algebra(n: int, trials: int, seed: int) -> SweepReport:
                 expected = degree(g0)
             else:
                 expected = max(degree(g0), degree(add(g0, g1)) + 1)
-            rep.check(degree(cat) == expected, "concat-degree-identity", f"{_fmt(g0)} {_fmt(g1)}")
+            rep.check(degree(cat) == expected, "concat-degree-identity", lambda: f"{_fmt(g0)} {_fmt(g1)}")
     rep.check(anf_of(delta(0, n)).coeffs == _all_ones(n), "delta0-anf-all-ones", f"n={n}")
     rep.elapsed = time.time() - t0
     return rep
@@ -596,7 +598,7 @@ def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
         table = _brute_ai_table_n4()
         for tt in range(1 << 16):
             f = BooleanFunction(4, tt)
-            rep.check(ai(f) == int(table[tt]), "ai-matches-bruteforce", _fmt(f))
+            rep.check(ai(f) == int(table[tt]), "ai-matches-bruteforce", lambda: _fmt(f))
     else:
         rng = random.Random(seed)
         for _ in range(trials):
@@ -610,7 +612,7 @@ def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
                 if w:
                     best = e
                     break
-            rep.check(got == best, "ai-matches-bruteforce", _fmt(f))
+            rep.check(got == best, "ai-matches-bruteforce", lambda: _fmt(f))
     rep.elapsed = time.time() - t0
     return rep
 
@@ -639,17 +641,17 @@ def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
         for tt in range(1, (1 << (1 << n)) - 1):
             f = BooleanFunction(n, tt)
             res = fai(f)
-            rep.check(res.value == fai_direct(f), "fai-matches-direct", _fmt(f))
+            rep.check(res.value == fai_direct(f), "fai-matches-direct", lambda: _fmt(f))
             if res.diverged:
-                rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", _fmt(f))
+                rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", lambda: _fmt(f))
     else:
         rng = random.Random(seed)
         for _ in range(trials):
             f = random_nonconstant(n, rng)
             res = fai(f)
-            rep.check(res.value == fai_direct(f), "fai-matches-direct", _fmt(f))
+            rep.check(res.value == fai_direct(f), "fai-matches-direct", lambda: _fmt(f))
             if res.diverged:
-                rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", _fmt(f))
+                rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", lambda: _fmt(f))
     rep.elapsed = time.time() - t0
     return rep
 

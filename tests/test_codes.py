@@ -23,7 +23,7 @@ from faicodes.codes import (
     zero_code,
 )
 from faicodes.f2linalg import BitMatrix
-from faicodes.gf2m import field_with_modulus
+from faicodes.gf2m import field_new, field_with_modulus
 
 
 def random_code(rng, length=None, k=None):
@@ -188,3 +188,10 @@ def test_column_points_default():
 def test_linear_code_validation():
     with pytest.raises(ValueError):
         LinearCode(5, BitMatrix.identity(4))
+
+
+def test_rm_cache_serves_explicit_fields():
+    f = field_with_modulus(4, 0x19)
+    assert rm(2, 4, f) is rm(2, 4, field_with_modulus(4, 0x19))
+    assert rm(2, 4, field_new(4)) is rm(2, 4)
+    assert rm(2, 4, f) != rm(2, 4)  # another point enumeration, another generator

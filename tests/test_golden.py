@@ -1,0 +1,72 @@
+"""Byte-for-byte CLI transcripts under tests/golden/.
+
+Each case's stdout is compared with tests/golden/<name>.  The `analyze`
+transcripts lock the immunity report (values, witness text, key order);
+the `rm` and `lcd-check` ones lock the code export on the default and a
+non-default modulus.  To record them again after an intended change of
+the output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from faicodes.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the random specs were drawn with random.Random(f"golden:{n}")
+ANALYZE = (
+    ("readme-maj3", "3:E8"),
+    ("readme-support-n5", "5:{1,2,4,8,16}"),
+    ("all-ones-n3", "3:FF"),
+    # FAI above the profile bound; no non-constant n=3 function diverges, so n=4
+    ("diverged-n4", "4:0356"),
+    ("carlet-feng-n5", "5:B41365B6"),
+    ("random-n4", "4:3E1A"),
+    ("random-n5", "5:537DADB8"),
+    ("random-n6", "6:964E23F28B5CBB32"),
+    ("random-n7", "7:6482CD68DAE62905BEAFF4FFD6BDFBEC"),
+    ("random-n8", "8:FD9165C8CED96DC70D18DAE339614AF3930BF1784B254A6EE831942BD753F857"),
+    (
+        "random-n9",
+        "9:39BA49128EF665A5747C20703EC488B8F920DB328941F1B29001681D0D604C66"
+        "962D6314CAF28E072C7E1687F09ED0D13930F247D8158989CB5A41A1E2292BC7",
+    ),
+)
+
+# (name, argv); lcd-check reads an rm transcript recorded before it
+CASES = tuple((f"analyze/{name}.json", ("analyze", spec, "--json")) for name, spec in ANALYZE) + (
+    ("rm/rm-2-4.txt", ("rm", "2", "4")),
+    ("rm/rm-2-4-mod19.txt", ("rm", "2", "4", "--modulus", "19")),
+    ("rm/rm-1-5-punctured.txt", ("rm", "1", "5", "--punctured-by", "5:B41365B6")),
+    ("rm/rm-1-5-punctured-mod29.txt", ("rm", "1", "5", "--punctured-by", "5:B41365B6", "--modulus", "29")),
+    ("lcd-check/rm-2-4.json", ("lcd-check", str(GOLDEN / "rm/rm-2-4.txt"), "--json")),
+    ("lcd-check/rm-2-4-mod19.json", ("lcd-check", str(GOLDEN / "rm/rm-2-4-mod19.txt"), "--json")),
+    ("lcd-check/rm-1-5-punctured.txt", ("lcd-check", str(GOLDEN / "rm/rm-1-5-punctured.txt"))),
+    ("lcd-check/rm-1-5-punctured-mod29.txt", ("lcd-check", str(GOLDEN / "rm/rm-1-5-punctured-mod29.txt"))),
+)
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_matches_golden(name, argv, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def _record() -> None:
+    for name, argv in CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(list(argv))
+        path = GOLDEN / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(out.getvalue())
+
+
+if __name__ == "__main__":
+    _record()

@@ -14,9 +14,10 @@ from faicodes.boolfun import (
     random_nonconstant,
     tt_of,
 )
-from faicodes.f2linalg import BitMatrix, row_space_meet_dim
+from faicodes.f2linalg import BitMatrix, kernel_basis, row_space_meet_dim
 from faicodes.immunity import (
     ImmunityProfile,
+    _g_table,
     ai,
     annihilator_witness,
     fai,
@@ -227,3 +228,61 @@ def test_function_report_fields():
     assert ones["profile_bound"] == 1
     with pytest.raises(ValueError):
         function_report(BooleanFunction(2, 0))
+
+
+def _functions(n_max_exhaustive, seeded_ns, per_n, seed):
+    """Every function for n <= n_max_exhaustive, then seeded random ones."""
+    for n in range(1, n_max_exhaustive + 1):
+        for tt in range(1 << (1 << n)):
+            yield BooleanFunction(n, tt)
+    rng = random.Random(seed)
+    for n in seeded_ns:
+        for _ in range(per_n):
+            yield BooleanFunction(n, rng.getrandbits(1 << n))
+
+
+def test_lda_is_min_of_complement_profile():
+    # LDA(f) = min_k mu_k(1+f): the column route against the product pass
+    for f in _functions(3, range(4, 9), 12, seed=16):
+        mus = [m for m in profile(complement(f)).mu if m is not None]
+        assert lda(f) == (min(mus) if mus else None), f
+
+
+def test_annihilator_witness_is_first_kernel_vector():
+    # reference: the first kernel vector of the (support point x monomial) evaluation matrix
+    for f in _functions(3, range(4, 7), 15, seed=17):
+        for e in range(f.n + 1):
+            monos = [m for level in monomials_by_degree(f.n)[: e + 1] for m in level]
+            points = [x for x in range(f.size) if f.value(x)]
+            rows = [sum(1 << j for j, m in enumerate(monos) if x & m == m) for x in points]
+            kern = kernel_basis(BitMatrix.from_rows(rows, len(monos)))
+            want = None
+            if kern.rows:
+                want = sum(1 << monos[j] for j in range(len(monos)) if (kern.data[0] >> j) & 1)
+            got = annihilator_witness(f, e)
+            assert (None if got is None else got.coeffs) == want, (f, e)
+
+
+def test_function_report_matches_public_calls():
+    for f in _functions(2, range(3, 8), 6, seed=18):
+        if f.tt == 0:
+            continue
+        rec = function_report(f)
+        res = fai(f)
+        assert rec["ai"] == ai(f)
+        assert rec["lda_f"] == lda(f) and rec["lda_fc"] == lda(complement(f))
+        assert rec["profile"] == list(profile(f).mu)
+        assert rec["fai"] == res.value
+        assert rec["witness_total"] == res.witness.total
+        assert rec["ffai"] == (None if f.is_constant() else ffai(f))
+        assert rec.get("profile_bound") == (res.profile_bound if res.diverged else None)
+        assert [mu(f, k) for k in range(1, f.n + 1)] == rec["profile"]
+
+
+def test_fai_direct_table_is_cached_read_only():
+    f = parse_function("5:B41365B6")
+    first = fai_direct(f)
+    idx, g_tt, g_deg = _g_table(5, 2)
+    assert _g_table(5, 2)[0] is idx
+    assert not (idx.flags.writeable or g_tt.flags.writeable or g_deg.flags.writeable)
+    assert fai_direct(f) == first == fai(f).value
