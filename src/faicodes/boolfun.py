@@ -41,6 +41,13 @@ def mobius(bits: int, n: int) -> int:
     return bits
 
 
+def superset_parity(bits: int, n: int) -> int:
+    """The butterfly with its shift reversed: bit w is the parity of the bits x with x ⪰ w."""
+    for shift, mask in _butterfly_masks(n):
+        bits ^= (bits >> shift) & mask
+    return bits
+
+
 @lru_cache(maxsize=None)
 def _var_tts(n: int) -> tuple[int, ...]:
     """Truth table of each coordinate function x_j (index j-1)."""

@@ -96,18 +96,23 @@ def _check_coords(c: LinearCode, coords: Iterable[int]) -> list[int]:
     return out
 
 
-def puncture(c: LinearCode, coords: Iterable[int]) -> LinearCode:
-    """Delete the given coordinates from every codeword (dimension may drop)."""
-    drop = _check_coords(c, coords)
-    keep = [j for j in range(c.length) if j not in set(drop)]
-    rows = []
-    for row in c.gen.data:
+def _delete_columns(rows: Iterable[int], drop: list[int], length: int) -> LinearCode:
+    """The code spanned by rows once the drop columns are deleted and the rest renumbered in order."""
+    dropped = set(drop)
+    keep = [j for j in range(length) if j not in dropped]
+    out = []
+    for row in rows:
         acc = 0
         for new_j, old_j in enumerate(keep):
             if (row >> old_j) & 1:
                 acc |= 1 << new_j
-        rows.append(acc)
-    return code_from_rows(rows, len(keep))
+        out.append(acc)
+    return code_from_rows(out, len(keep))
+
+
+def puncture(c: LinearCode, coords: Iterable[int]) -> LinearCode:
+    """Delete the given coordinates from every codeword (dimension may drop)."""
+    return _delete_columns(c.gen.data, _check_coords(c, coords), c.length)
 
 
 def shorten(c: LinearCode, coords: Iterable[int]) -> LinearCode:
@@ -125,16 +130,7 @@ def shorten(c: LinearCode, coords: Iterable[int]) -> LinearCode:
             if r != used and work[r] & bit:
                 work[r] ^= work[used]
         used += 1
-    survivors = work[used:]
-    keep = [j for j in range(c.length) if j not in set(drop)]
-    rows = []
-    for row in survivors:
-        acc = 0
-        for new_j, old_j in enumerate(keep):
-            if (row >> old_j) & 1:
-                acc |= 1 << new_j
-        rows.append(acc)
-    return code_from_rows(rows, len(keep))
+    return _delete_columns(work[used:], drop, c.length)
 
 
 def hull_dim(c: LinearCode) -> int:

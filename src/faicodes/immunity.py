@@ -231,20 +231,32 @@ def _layers(f: BooleanFunction) -> Iterator[_Layer]:
     """Insert each product f*m once, monomials in degree order; yield k = 1..n.
 
     The first product that is zero or dependent marks the lowest-degree
-    annihilator, so lda(f) comes with the pass.
+    annihilator, so lda(f) comes with the pass.  The products span exactly
+    the functions supported on supp(f), so once the basis has wt(f) rows
+    every further product is dependent: the pass stops inserting, and the
+    later layers repeat the last one.
     """
     n = f.n
+    weight = f.tt.bit_count()
     basis = _DegreeBasis(n)
     anf_f_perm = _permute(mobius(f.tt, n), basis.pos)
     lda_f: int | None = None
+    layer: _Layer | None = None
     for k, level in enumerate(monomials_by_degree(n)):
+        full = len(basis.table) == weight
         for m in level:
+            if len(basis.table) == weight:
+                if lda_f is None:
+                    lda_f = k
+                break
             if not basis.insert_anf(mobius(f.tt & monomial_tt(m, n), n)) and lda_f is None:
                 lda_f = k
         if k:
-            rows = basis.rows_by_degree()
-            mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
-            yield _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f)
+            if not (full and layer is not None and layer.lda == lda_f):
+                rows = basis.rows_by_degree()
+                mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
+                layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f)
+            yield layer._replace(k=k)
 
 
 def _best_layer(layers: Iterable[_Layer]) -> _Layer:

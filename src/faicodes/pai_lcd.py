@@ -4,25 +4,41 @@ A function's support picks out Reed-Muller columns; puncturing away the
 complement restricts the code to the support.  Algebraic immunity shows up
 as punctured-code dimensions, FAI as trivial meets with punctured duals,
 and perfect algebraic immunity as LCD-ness of every punctured order.
+
+The PAI certificate reads every order from truth-table coordinates: the
+rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and Massey's
+criterion gives hull = rank(G) - rank(G G^T) for any spanning set G.  The
+Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
+superset-parity transform of f.  Length, dimension and hull do not change
+when columns are permuted, so the field's point order plays no part; the
+punctured-RM route stays as the independent oracle (`is_pai_via_lcd`,
+`lcd_from_pai`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolfun import BooleanFunction, anf_of, format_function
+from .boolfun import (
+    BooleanFunction,
+    anf_of,
+    format_function,
+    high_degree_masks,
+    monomial_tt,
+    monomials_by_degree,
+    superset_parity,
+)
 from .codes import (
     LinearCode,
     column_points,
     dual,
-    hull_dim,
     is_even_like,
     is_lcd,
     puncture,
     rm,
     zero_code,
 )
-from .f2linalg import row_space_meet_dim
+from .f2linalg import BitMatrix, rank, row_space_meet_dim
 from .gf2m import FieldGF2n, field_new
 from .immunity import fai
 
@@ -65,16 +81,10 @@ def ai_exceeds_via_dims(f: BooleanFunction, e: int, field: FieldGF2n | None = No
         raise ValueError(f"order {e} out of range 1..{f.n}")
     n = f.n
     sc = support_columns(f, field)
-    full_dim = sum(len(level) for level in _mono_levels(n)[: e + 1])
+    full_dim = sum(len(level) for level in monomials_by_degree(n)[: e + 1])
     on_support = puncture(rm(e, n, field), sc.complement())
     off_support = puncture(rm(e, n, field), sc.cols)
     return on_support.dim == full_dim and off_support.dim == full_dim
-
-
-def _mono_levels(n: int):
-    from .boolfun import monomials_by_degree
-
-    return monomials_by_degree(n)
 
 
 def fai_at_least_via_codes(f: BooleanFunction, s: int, field: FieldGF2n | None = None) -> bool:
@@ -120,7 +130,7 @@ def lcd_from_pai(f: BooleanFunction, e: int, field: FieldGF2n | None = None) -> 
         raise ValueError(f"not a perfect algebraic immune function: fai = {value} < {n}")
     sc = support_columns(f, field)
     code = _restricted_rm(e, n, sc, field)
-    expected_dim = sum(len(level) for level in _mono_levels(n)[: e + 1])
+    expected_dim = sum(len(level) for level in monomials_by_degree(n)[: e + 1])
     if not is_lcd(code) or code.dim != expected_dim or code.length != f.tt.bit_count():
         raise AssertionError("extracted code violates the LCD/dimension contract")
     d = dual(code)
@@ -156,22 +166,45 @@ def carlet_feng_support(
 
 
 def pai_certificate(f: BooleanFunction, field: FieldGF2n | None = None) -> dict:
-    """Full PAI verdict: definitional FAI, LCD-ness per order, and agreement."""
+    """Full PAI verdict: definitional FAI, LCD-ness per order, and agreement.
+
+    Order e is RM(e, n) restricted to supp(f), spanned by the truth-table
+    rows f*m_u with deg u <= e: its length is wt(f), its dimension their
+    rank, and its hull that rank minus the rank of their Gram matrix
+    Gamma(u, v) = F[u|v], where F[w] is the parity of supp(f) above w.  A
+    column permutation changes none of the three, so the result is the
+    same on every field's point order; the field only names the modulus.
+    Once the rank reaches wt(f), the code is all of GF(2)^wt(f), whose dual
+    is zero: every later order keeps that dimension and the zero hull.
+    """
     n = f.n
     resolved = field or field_new(n)
-    sc = support_columns(f, resolved)
+    size = 1 << n
+    wt = f.tt.bit_count()
+    high = high_degree_masks(n)
+    gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v]
+    tt_rows, monos = [f.tt], [0]
+    dim = hull = 0
     per_e = []
-    for e in range(1, n + 1):
-        code = _restricted_rm(e, n, sc, resolved)
-        hull = hull_dim(code)
-        per_e.append({"e": e, "length": code.length, "dim": code.dim, "hull": hull, "lcd": hull == 0})
+    for e, level in enumerate(monomials_by_degree(n)[1:], start=1):
+        if dim < wt:
+            for u in level:
+                tt_rows.append(f.tt & monomial_tt(u, n))
+                monos.append(u)
+                low = u & -u  # row u at v is row u - low at v|low: copy those columns down
+                prev = gamma[u ^ low] & monomial_tt(low, n)
+                gamma[u] = prev | prev >> low
+            dim = rank(BitMatrix.from_rows(tt_rows, size))
+            low_cols = ~high[e]
+            hull = dim - rank(BitMatrix.from_rows((gamma[u] & low_cols for u in monos), size))
+        per_e.append({"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0})
     value = fai(f).value
     by_def = value >= n
     by_lcd = all(entry["lcd"] for entry in per_e)
     return {
         "tt": format_function(f),
         "n": n,
-        "wt": f.tt.bit_count(),
+        "wt": wt,
         "deg": anf_of(f).degree(),
         "fai": value,
         "pai_by_def": by_def,

@@ -216,7 +216,8 @@ def test_literal_pai_lcd_identity(n4_pai_sets):
 
 @pytest.mark.xfail(
     reason="refuted by low-immunity functions whose fai reaches n "
-    "(weight-1 indicators at n=3; degree-2 weight-6/10 functions at n=4); "
+    "(at n=3: weight 1 and weight 3; at n=4: weight 2, weight 4 and the "
+    "degree-2 weight-6/10 functions; counts in notes/decisions.md); "
     "parity holds on the full-degree optimal-immunity class",
     strict=True,
 )

@@ -1,10 +1,12 @@
 """Byte-for-byte CLI transcripts under tests/golden/.
 
-Each case's stdout is compared with tests/golden/<name>.  The `analyze`
-transcripts lock the immunity report (values, witness text, key order);
-the `rm` and `lcd-check` ones lock the code export on the default and a
-non-default modulus.  To record them again after an intended change of
-the output:
+Each case's stdout is compared with tests/golden/<name>, and its exit
+status with the one recorded in CASES.  The `analyze` transcripts lock the
+immunity report (values, witness text, key order); the `rm` and
+`lcd-check` ones lock the code export on the default and a non-default
+modulus; the `pai-verify` and `carlet-feng` ones lock the PAI certificate
+(per-order length, dimension, hull and verdicts, and the Carlet-Feng
+columns).  To record them again after an intended change of the output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -39,27 +41,46 @@ ANALYZE = (
     ),
 )
 
-# (name, argv); lcd-check reads an rm transcript recorded before it
-CASES = tuple((f"analyze/{name}.json", ("analyze", spec, "--json")) for name, spec in ANALYZE) + (
-    ("rm/rm-2-4.txt", ("rm", "2", "4")),
-    ("rm/rm-2-4-mod19.txt", ("rm", "2", "4", "--modulus", "19")),
-    ("rm/rm-1-5-punctured.txt", ("rm", "1", "5", "--punctured-by", "5:B41365B6")),
-    ("rm/rm-1-5-punctured-mod29.txt", ("rm", "1", "5", "--punctured-by", "5:B41365B6", "--modulus", "29")),
-    ("lcd-check/rm-2-4.json", ("lcd-check", str(GOLDEN / "rm/rm-2-4.txt"), "--json")),
-    ("lcd-check/rm-2-4-mod19.json", ("lcd-check", str(GOLDEN / "rm/rm-2-4-mod19.txt"), "--json")),
-    ("lcd-check/rm-1-5-punctured.txt", ("lcd-check", str(GOLDEN / "rm/rm-1-5-punctured.txt"))),
-    ("lcd-check/rm-1-5-punctured-mod29.txt", ("lcd-check", str(GOLDEN / "rm/rm-1-5-punctured-mod29.txt"))),
+PAI_VERIFY = tuple((name, (spec,), 0) for name, spec in ANALYZE if name.startswith("random-")) + (
+    # FAI = n but degree n - 2: the LCD side says no, so the verdicts disagree
+    ("degree-deficient-n4", ("4:0356",), 1),
+    ("carlet-feng-n5-mod29", ("5:B41365B6", "--modulus", "29"), 0),
+    ("search-n3", ("--search", "3"), 0),
+)
+
+CARLET_FENG = (
+    ("n4-all-offsets", ("4", "--all-offsets")),
+    ("n5-offset7", ("5", "--offset", "7")),
+    ("n5-offset7-mod29", ("5", "--offset", "7", "--modulus", "29")),
+    ("n8-offset3", ("8", "--offset", "3")),
+)
+
+# (name, argv, exit status); lcd-check reads an rm transcript recorded before it
+CASES = (
+    tuple((f"analyze/{name}.json", ("analyze", spec, "--json"), 0) for name, spec in ANALYZE)
+    + (
+        ("rm/rm-2-4.txt", ("rm", "2", "4"), 0),
+        ("rm/rm-2-4-mod19.txt", ("rm", "2", "4", "--modulus", "19"), 0),
+        ("rm/rm-1-5-punctured.txt", ("rm", "1", "5", "--punctured-by", "5:B41365B6"), 0),
+        ("rm/rm-1-5-punctured-mod29.txt", ("rm", "1", "5", "--punctured-by", "5:B41365B6", "--modulus", "29"), 0),
+        ("lcd-check/rm-2-4.json", ("lcd-check", str(GOLDEN / "rm/rm-2-4.txt"), "--json"), 0),
+        ("lcd-check/rm-2-4-mod19.json", ("lcd-check", str(GOLDEN / "rm/rm-2-4-mod19.txt"), "--json"), 0),
+        ("lcd-check/rm-1-5-punctured.txt", ("lcd-check", str(GOLDEN / "rm/rm-1-5-punctured.txt")), 0),
+        ("lcd-check/rm-1-5-punctured-mod29.txt", ("lcd-check", str(GOLDEN / "rm/rm-1-5-punctured-mod29.txt")), 0),
+    )
+    + tuple((f"pai-verify/{name}.json", ("pai-verify", *args, "--json"), st) for name, args, st in PAI_VERIFY)
+    + tuple((f"carlet-feng/{name}.json", ("carlet-feng", *args, "--json"), 0) for name, args in CARLET_FENG)
 )
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_cli_matches_golden(name, argv, capsys):
-    assert main(list(argv)) == 0
+@pytest.mark.parametrize("name,argv,status", CASES, ids=[name for name, _, _ in CASES])
+def test_cli_matches_golden(name, argv, status, capsys):
+    assert main(list(argv)) == status
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 def _record() -> None:
-    for name, argv in CASES:
+    for name, argv, _ in CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             main(list(argv))

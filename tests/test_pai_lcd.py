@@ -3,11 +3,12 @@ import random
 import pytest
 
 from faicodes.boolfun import BooleanFunction, degree, parse_function, random_nonconstant
-from faicodes.codes import is_lcd
-from faicodes.gf2m import alpha_pow, field_new
+from faicodes.codes import hull_dim, is_lcd
+from faicodes.gf2m import alpha_pow, field_new, field_with_modulus
 from faicodes.immunity import ai, fai
 from faicodes.pai_lcd import (
     SupportColumns,
+    _restricted_rm,
     ai_exceeds_via_dims,
     carlet_feng_support,
     fai_at_least_via_codes,
@@ -156,6 +157,44 @@ def test_pai_certificate():
     assert cert["modulus"] == "0x13"
     bad = pai_certificate(BooleanFunction(4, 854))
     assert bad["pai_by_def"] and not bad["pai_by_lcd"] and not bad["agree"]
+
+
+def _fields(n):
+    """The default field and the one on the largest primitive modulus (the same at n = 2)."""
+    for modulus in range((1 << (n + 1)) - 1, 1 << n, -2):
+        try:
+            last = field_with_modulus(n, modulus)
+        except ValueError:
+            continue
+        return [field_new(n)] if last.modulus == field_new(n).modulus else [field_new(n), last]
+    raise AssertionError("no primitive modulus")
+
+
+def _certificate_functions():
+    for n in (2, 3):
+        for tt in range(1, 1 << (1 << n)):
+            yield BooleanFunction(n, tt), _fields(n)
+    rng = random.Random(35)
+    for n, count in ((4, 40), (5, 20), (6, 10), (7, 4), (8, 2)):
+        for _ in range(count):
+            yield BooleanFunction(n, rng.getrandbits(1 << n) | 1), _fields(n)
+    for n, offsets in ((4, range(15)), (5, (0, 7, 30)), (8, (0, 3))):
+        for field in _fields(n):
+            for off in offsets:
+                yield function_from_columns(carlet_feng_support(n, off, field=field), field), [field]
+
+
+def test_pai_certificate_matches_punctured_rm():
+    # the truth-table route against the punctured Reed-Muller code on the field's point order
+    for f, fields in _certificate_functions():
+        for field in fields:
+            cert = pai_certificate(f, field)
+            assert cert["modulus"] == f"{field.modulus:#x}"
+            sc = support_columns(f, field)
+            for entry in cert["per_e_lcd_status"]:
+                code = _restricted_rm(entry["e"], f.n, sc, field)
+                got = (entry["length"], entry["dim"], entry["hull"], entry["lcd"])
+                assert got == (code.length, code.dim, hull_dim(code), is_lcd(code)), (cert["tt"], field.modulus)
 
 
 def test_support_columns_type():
