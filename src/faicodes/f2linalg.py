@@ -78,18 +78,30 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     return BitMatrix.from_rows(work[:row], m.cols), tuple(pivots)
 
 
+def insert(slots: list[int], row: int) -> bool:
+    """Reduce row into a highest-bit XOR basis; keep it and return True if independent.
+
+    slots[c] holds the basis row whose leading bit is c, or 0 when there is
+    none, so the list must be at least as long as the rows are wide.
+    """
+    while row:
+        lead = row.bit_length() - 1
+        other = slots[lead]
+        if not other:
+            slots[lead] = row
+            return True
+        row ^= other
+    return False
+
+
 def rank(m: BitMatrix) -> int:
     """Row rank over GF(2)."""
-    basis: dict[int, int] = {}
+    slots = [0] * m.cols
+    found = 0
     for row in m.data:
-        while row:
-            lead = row.bit_length() - 1
-            other = basis.get(lead)
-            if other is None:
-                basis[lead] = row
-                break
-            row ^= other
-    return len(basis)
+        if insert(slots, row):
+            found += 1
+    return found
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:

@@ -28,7 +28,7 @@ from .boolfun import (
     monomial_tt,
     monomials_by_degree,
 )
-from .f2linalg import BitMatrix, rref, solve_preimage
+from .f2linalg import BitMatrix, insert, rref, solve_preimage
 
 logger = logging.getLogger(__name__)
 
@@ -80,9 +80,10 @@ def _first_annihilator(f: BooleanFunction, e: int) -> tuple[int, int] | None:
     The columns f*m, for the monomials m in degree order, go into one XOR
     basis; the high 2^n bits of a row hold the column and the low 2^n bits
     the monomials it combines.  The first column that reduces to zero closes
-    the first dependency: its degree is lda(f), and its combination (unique,
-    the earlier columns being independent) is the annihilator that the
-    kernel of the evaluation matrix yields first.
+    the first dependency, and its combination (unique, the earlier columns
+    being independent) is the annihilator that the kernel of the evaluation
+    matrix yields first.  Only annihilator_witness needs that combination;
+    lda runs the same columns without it.
     """
     n = f.n
     size = 1 << n
@@ -102,9 +103,19 @@ def _first_annihilator(f: BooleanFunction, e: int) -> tuple[int, int] | None:
 
 
 def lda(f: BooleanFunction) -> int | None:
-    """Lowest degree of a nonzero annihilator of f; None when f is all-ones."""
-    hit = _first_annihilator(f, f.n)
-    return None if hit is None else hit[0]
+    """Lowest degree of a nonzero annihilator of f; None when f is all-ones.
+
+    The column route: the truth tables f*m, monomials in degree order, go
+    into one XOR basis, and the degree of the first that depends on the
+    ones before it is lda(f).
+    """
+    n = f.n
+    slots = [0] * (1 << n)
+    for d, level in enumerate(monomials_by_degree(n)):
+        for m in level:
+            if not insert(slots, f.tt & monomial_tt(m, n)):
+                return d
+    return None
 
 
 def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
@@ -145,52 +156,105 @@ def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
 # ANF vectors are re-indexed so that bit position grows with (degree, mask).
 # A highest-bit XOR basis in these coordinates makes each basis row's degree
 # the degree of its leading bit, and the rows of degree <= d span exactly
-# the intersection of the row space with {ANFs of degree <= d}.
+# the intersection of the row space with {ANFs of degree <= d}.  The
+# re-indexing is a fixed permutation of 2^n bits, applied as a Benes
+# network of masked delta swaps; its stages run backwards for the inverse.
+
+_Network = tuple[tuple[int, int], ...]  # (distance, mask) stages of delta swaps
+
+
+def _benes(perm: list[int]) -> _Network:
+    """Stages that move bit i to bit perm[i], for a permutation of 2^t bits.
+
+    The looping algorithm (Benes 1964; Knuth, TAOCP 4A, 7.1.3): a block of
+    2h lines splits into halves by bit h, each pair (i, i + h) sends one
+    element to each half, and each output pair takes one from each; the
+    chain of those constraints fixes the input and output swaps, and each
+    half is routed the same way at distance h/2.  Stages at distances
+    size/2, ..., 2, 1, 2, ..., size/2 result; the all-zero ones are dropped.
+    """
+    size = len(perm)
+    p = list(perm)
+    head: list[tuple[int, int]] = []
+    tail: list[tuple[int, int]] = []
+    h = size >> 1
+    while h > 1:
+        inv = [0] * size
+        for s, t in enumerate(p):
+            inv[t] = s
+        sub = [0] * size
+        done = bytearray(size)
+        in_mask = out_mask = 0
+        for start in range(size):
+            s = start
+            while not done[s]:
+                # s rides the half where bit h is clear, its input partner the other one
+                low = s ^ h
+                done[s] = done[low] = 1
+                t, u = p[s], p[low]
+                if s & h:
+                    in_mask |= 1 << low
+                if t & h:
+                    out_mask |= 1 << (t ^ h)
+                sub[s & ~h] = t & ~h
+                sub[low | h] = u | h
+                s = inv[u ^ h]  # u's output partner must come from s's half
+        head.append((h, in_mask))
+        tail.append((h, out_mask))
+        p = sub
+        h >>= 1
+    if h:  # the middle stage: each block is one pair by now
+        head.append((1, sum(1 << s for s in range(0, size, 2) if p[s] != s)))
+    return tuple(stage for stage in head + tail[::-1] if stage[1])
+
+
+def _permute(bits: int, network: _Network) -> int:
+    """Apply the network's delta swaps: the bits of each mask trade places with those d above."""
+    for d, mask in network:
+        t = ((bits >> d) ^ bits) & mask
+        bits ^= t ^ (t << d)
+    return bits
+
+
+class _DegreeOrder(NamedTuple):
+    to_degree: _Network  # moves the coefficient of mask m to its (degree, mask) rank
+    from_degree: _Network  # the inverse: the same stages in reverse
+    deg_at: tuple[int, ...]  # degree of the monomial at each degree-ordered position
 
 
 @lru_cache(maxsize=None)
-def _degree_order(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _degree_order(n: int) -> _DegreeOrder:
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     pos = [0] * (1 << n)
     for p, m in enumerate(masks):
         pos[m] = p
-    deg_at = tuple(m.bit_count() for m in masks)
-    return tuple(pos), tuple(masks), deg_at
-
-
-def _permute(bits: int, pos: tuple[int, ...]) -> int:
-    acc = 0
-    while bits:
-        low = bits & -bits
-        acc |= 1 << pos[low.bit_length() - 1]
-        bits ^= low
-    return acc
+    network = _benes(pos)
+    return _DegreeOrder(network, network[::-1], tuple(m.bit_count() for m in masks))
 
 
 class _DegreeBasis:
-    """Incremental XOR basis over degree-ordered ANF coordinates."""
+    """Incremental XOR basis over degree-ordered ANF coordinates.
+
+    slots[p] holds the basis row whose leading bit is p (0 when none), so
+    reading the slots in order lists the rows by degree.
+    """
 
     def __init__(self, n: int) -> None:
-        self.pos, self.masks, self.deg_at = _degree_order(n)
-        self.table: dict[int, int] = {}
+        self.order = _degree_order(n)
+        self.slots = [0] * (1 << n)
+        self.rank = 0
 
     def insert_anf(self, coeffs: int) -> bool:
         """Add one ANF; False when it reduces to zero (it depends on the rows so far)."""
-        row = _permute(coeffs, self.pos)
-        table = self.table
-        while row:
-            lead = row.bit_length() - 1
-            other = table.get(lead)
-            if other is None:
-                table[lead] = row
-                return True
-            row ^= other
+        if insert(self.slots, _permute(coeffs, self.order.to_degree)):
+            self.rank += 1
+            return True
         return False
 
     def rows_by_degree(self) -> list[tuple[int, int]]:
         """(degree, permuted row) pairs sorted by degree."""
-        deg_at = self.deg_at
-        return sorted((deg_at[lead], row) for lead, row in self.table.items())
+        deg_at = self.order.deg_at
+        return [(deg_at[lead], row) for lead, row in enumerate(self.slots) if row]
 
 
 def _admissible_mu(
@@ -239,13 +303,13 @@ def _layers(f: BooleanFunction) -> Iterator[_Layer]:
     n = f.n
     weight = f.tt.bit_count()
     basis = _DegreeBasis(n)
-    anf_f_perm = _permute(mobius(f.tt, n), basis.pos)
+    anf_f_perm = _permute(mobius(f.tt, n), basis.order.to_degree)
     lda_f: int | None = None
     layer: _Layer | None = None
     for k, level in enumerate(monomials_by_degree(n)):
-        full = len(basis.table) == weight
+        full = basis.rank == weight
         for m in level:
-            if len(basis.table) == weight:
+            if basis.rank == weight:
                 if lda_f is None:
                     lda_f = k
                 break
@@ -321,7 +385,7 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
         g_coeffs = ann.coeffs ^ 1
         v_anf = mobius(f.tt, n)
     else:
-        v_anf = _permute(layer.row, _degree_order(n)[1])
+        v_anf = _permute(layer.row, _degree_order(n).from_degree)
         monos = [m for level in monomials_by_degree(n)[: k + 1] for m in level]
         matrix = BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
         combo = solve_preimage(matrix, v_anf)

@@ -6,6 +6,7 @@ from faicodes.f2linalg import (
     BitMatrix,
     from_text,
     gram,
+    insert,
     kernel_basis,
     mul,
     rank,
@@ -49,6 +50,32 @@ def test_rref_rank_two_example():
 def test_rank_trivial():
     assert rank(BitMatrix.zeros(3, 3)) == 0
     assert rank(BitMatrix.identity(4)) == 4
+
+
+def test_rank_degenerate_shapes():
+    assert rank(BitMatrix.zeros(0, 0)) == 0
+    assert rank(BitMatrix.zeros(0, 4)) == 0
+    assert rank(BitMatrix.zeros(3, 0)) == 0  # zero-width rows
+    assert rank(BitMatrix.zeros(3, 4)) == 0
+    assert rank(rows_from_strings("1", "0", "1")) == 1  # one column
+    assert rank(rows_from_strings("0", "0")) == 0
+
+
+def test_insert_degenerate_and_slot_layout():
+    slots = []
+    assert insert(slots, 0) is False and slots == []  # no columns: only the zero row
+    slots = [0]
+    assert insert(slots, 1) is True and slots == [1]
+    assert insert(slots, 1) is False and insert(slots, 0) is False
+    assert slots == [1]
+    rng = random.Random(0xB1)
+    for _ in range(100):
+        cols = rng.randrange(1, 12)
+        rows = [rng.getrandbits(cols) for _ in range(rng.randrange(0, 14))]
+        slots = [0] * cols
+        kept = sum(insert(slots, row) for row in rows)
+        assert kept == rank(BitMatrix.from_rows(rows, cols)) == sum(1 for r in slots if r)
+        assert all(r == 0 or r.bit_length() - 1 == c for c, r in enumerate(slots))
 
 
 def test_kernel_identity_empty():

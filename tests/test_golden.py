@@ -13,6 +13,7 @@ columns).  To record them again after an intended change of the output:
 
 import contextlib
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,15 @@ PAI_VERIFY = tuple((name, (spec,), 0) for name, spec in ANALYZE if name.startswi
     ("search-n3", ("--search", "3"), 0),
 )
 
+
+def _drawn(n: int) -> str:
+    """The seeded random spec of the n-variable cases."""
+    return f"{n}:{random.Random(f'golden:{n}').getrandbits(1 << n):0{(1 << n) // 4}X}"
+
+
+# the n = 10/11 sizes of the benchmark's analyze workload; analyze only
+ANALYZE_LARGE = (("random-n11", _drawn(11)),)
+
 CARLET_FENG = (
     ("n4-all-offsets", ("4", "--all-offsets")),
     ("n5-offset7", ("5", "--offset", "7")),
@@ -57,7 +67,7 @@ CARLET_FENG = (
 
 # (name, argv, exit status); lcd-check reads an rm transcript recorded before it
 CASES = (
-    tuple((f"analyze/{name}.json", ("analyze", spec, "--json"), 0) for name, spec in ANALYZE)
+    tuple((f"analyze/{name}.json", ("analyze", spec, "--json"), 0) for name, spec in ANALYZE + ANALYZE_LARGE)
     + (
         ("rm/rm-2-4.txt", ("rm", "2", "4"), 0),
         ("rm/rm-2-4-mod19.txt", ("rm", "2", "4", "--modulus", "19"), 0),

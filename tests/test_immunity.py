@@ -17,7 +17,11 @@ from faicodes.boolfun import (
 from faicodes.f2linalg import BitMatrix, kernel_basis, row_space_meet_dim
 from faicodes.immunity import (
     ImmunityProfile,
+    _benes,
+    _degree_order,
+    _first_annihilator,
     _g_table,
+    _permute,
     ai,
     annihilator_witness,
     fai,
@@ -286,3 +290,68 @@ def test_fai_direct_table_is_cached_read_only():
     assert _g_table(5, 2)[0] is idx
     assert not (idx.flags.writeable or g_tt.flags.writeable or g_deg.flags.writeable)
     assert fai_direct(f) == first == fai(f).value
+
+
+def _bit_loop(bits, pos):
+    """Reference permutation: bit i moves to bit pos[i], one bit at a time."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc |= 1 << pos[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def _rows(size, rng):
+    return [0, (1 << size) - 1, *(1 << i for i in range(size)), *(rng.getrandbits(size) for _ in range(8))]
+
+
+def test_degree_order_network_matches_bit_loop():
+    rng = random.Random(20)
+    for n in range(1, 13):
+        size = 1 << n
+        masks = sorted(range(size), key=lambda m: (m.bit_count(), m))
+        pos = [0] * size
+        for p, m in enumerate(masks):
+            pos[m] = p
+        order = _degree_order(n)
+        assert len(order.to_degree) <= 2 * n - 1
+        assert order.deg_at == tuple(m.bit_count() for m in masks)
+        for row in _rows(size, rng):
+            assert _permute(row, order.to_degree) == _bit_loop(row, pos), (n, row)
+            assert _permute(row, order.from_degree) == _bit_loop(row, masks), (n, row)
+
+
+def test_benes_routes_random_permutations():
+    rng = random.Random(21)
+    for t in range(1, 13):
+        size = 1 << t
+        for _ in range(3 if t < 10 else 1):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            inverse = [0] * size
+            for i, p in enumerate(perm):
+                inverse[p] = i
+            network = _benes(perm)
+            assert len(network) <= 2 * t - 1
+            for row in _rows(size, rng):
+                assert _permute(row, network) == _bit_loop(row, perm)
+                assert _permute(row, network[::-1]) == _bit_loop(row, inverse)
+
+
+def test_lda_matches_tagged_column_route():
+    # the tag-free column route against the degree of the tagged one's first annihilator
+    def tagged(f):
+        hit = _first_annihilator(f, f.n)
+        return None if hit is None else hit[0]
+
+    rng = random.Random(22)
+    seeded = []
+    for i in range(200):
+        n = 4 + i % 6
+        tt = rng.getrandbits(1 << n)
+        if i % 3 == 0:  # sparse supports close the first dependency early
+            tt &= rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+        seeded.append(BooleanFunction(n, tt))
+    for f in [*_functions(3, (), 0, seed=0), *seeded]:
+        assert lda(f) == tagged(f), f
