@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
+from typing import Sequence
 
 from .f2linalg import BitMatrix, rank, solve_preimage
 
@@ -81,6 +82,16 @@ def monomials_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
     for m in range(1 << n):
         levels[m.bit_count()].append(m)
     return tuple(tuple(lv) for lv in levels)
+
+
+def monomial_sum(selection: int, monos: Sequence[int]) -> int:
+    """ANF of the sum of monos[i] over the set bits i of selection (a solve's combination)."""
+    coeffs = 0
+    while selection:
+        low = selection & -selection
+        coeffs ^= 1 << monos[low.bit_length() - 1]
+        selection ^= low
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -290,14 +301,7 @@ def interpolate_low_degree(
     matrix = BitMatrix.from_rows(rows, len(points))
     target = 1 << (len(points) - 1)
     combo = solve_preimage(matrix, target)
-    if combo is None:
-        return None
-    coeffs = 0
-    while combo:
-        low = combo & -combo
-        coeffs |= 1 << monos[low.bit_length() - 1]
-        combo ^= low
-    return Anf(n, coeffs)
+    return None if combo is None else Anf(n, monomial_sum(combo, monos))
 
 
 def parse_function(spec: str) -> BooleanFunction:

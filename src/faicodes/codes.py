@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import f2linalg
-from .f2linalg import BitMatrix, gram, rank, rref
+from .f2linalg import BitMatrix, _gauss_jordan, gram, rank, rref, solve_preimage
 from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus, point_index
 from .boolfun import monomials_by_degree
 
@@ -119,17 +119,7 @@ def shorten(c: LinearCode, coords: Iterable[int]) -> LinearCode:
     """Keep the codewords that vanish on the given coordinates, then delete them."""
     drop = _check_coords(c, coords)
     work = list(c.gen.data)
-    used = 0
-    for col in drop:
-        bit = 1 << col
-        pivot = next((r for r in range(used, len(work)) if work[r] & bit), None)
-        if pivot is None:
-            continue
-        work[used], work[pivot] = work[pivot], work[used]
-        for r in range(len(work)):
-            if r != used and work[r] & bit:
-                work[r] ^= work[used]
-        used += 1
+    used = len(_gauss_jordan(work, drop))  # the rows past the pivots vanish on drop
     return _delete_columns(work[used:], drop, c.length)
 
 
@@ -152,14 +142,8 @@ def is_even_like(c: LinearCode) -> bool:
 
 
 def contains(c: LinearCode, word: int) -> bool:
-    """Membership test by reduction against the RREF generator."""
-    if word < 0 or word >> c.length:
-        raise ValueError("word has bits outside the code length")
-    for row in c.gen.data:
-        pivot = row & -row
-        if word & pivot:
-            word ^= row
-    return word == 0
+    """Membership test: the word is a combination of the generator rows."""
+    return solve_preimage(c.gen, word) is not None
 
 
 def min_weight(c: LinearCode) -> int:

@@ -2,6 +2,18 @@
 
 Rows are stored as Python ints (bit c = column c), so row operations are
 word-parallel XORs no matter how wide the matrix gets.
+
+Every elimination in the library runs through one of two kernels:
+
+- `_gauss_jordan(work, cols)` eliminates in place over cols, in the given
+  order, and returns the pivot columns.  Each pivot is the first remaining
+  row with that bit; the i-th ends in work[i], its column clear in every
+  other row, so the rows past the pivots vanish on cols.  Bits outside cols
+  ride along as a combination tag.  Callers: `rref` (the canonical
+  lowest-pivot form that codes print), `solve_preimage`, `codes.shorten`.
+- `insert(slots, row)` reduces a row into a highest-pivot XOR basis
+  (slots[c] holds the row led by bit c) and keeps it, returning True, when
+  it is independent.  Callers: `rank` and every incremental basis.
 """
 
 from __future__ import annotations
@@ -44,38 +56,35 @@ class BitMatrix:
     def entry(self, r: int, c: int) -> int:
         return (self.data[r] >> c) & 1
 
-    def transpose(self) -> BitMatrix:
-        out = [0] * self.cols
-        for r, row in enumerate(self.data):
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << r
-                row ^= low
-        return BitMatrix(self.cols, self.rows, tuple(out))
-
     def __str__(self) -> str:
         return to_text(self).rstrip("\n")
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped, plus the pivot columns."""
-    work = list(m.data)
+def _gauss_jordan(work: list[int], cols: Iterable[int]) -> list[int]:
+    """Gauss-Jordan elimination in place over cols, in order; returns the pivot columns."""
     pivots: list[int] = []
-    row = 0
-    for col in range(m.cols):
+    for col in cols:
+        row = len(pivots)
+        if row == len(work):
+            break
         bit = 1 << col
         pivot = next((r for r in range(row, len(work)) if work[r] & bit), None)
         if pivot is None:
             continue
         work[row], work[pivot] = work[pivot], work[row]
+        prow = work[row]
         for r in range(len(work)):
             if r != row and work[r] & bit:
-                work[r] ^= work[row]
+                work[r] ^= prow
         pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return BitMatrix.from_rows(work[:row], m.cols), tuple(pivots)
+    return pivots
+
+
+def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
+    """Reduced row echelon form with zero rows dropped, plus the pivot columns."""
+    work = list(m.data)
+    pivots = _gauss_jordan(work, range(m.cols))
+    return BitMatrix.from_rows(work[: len(pivots)], m.cols), tuple(pivots)
 
 
 def insert(slots: list[int], row: int) -> bool:
@@ -160,29 +169,18 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def solve_preimage(m: BitMatrix, y: int) -> int | None:
-    """One x (bits over m's rows) with x @ m = y, or None if y is outside the row space."""
+    """One x (bits over m's rows) with x @ m = y, or None if y is outside the row space.
+
+    Row i carries the tag 1 << (cols + i), so once the pivot rows have
+    cleared y's pivot bits, the bits above the columns are x.
+    """
     if y < 0 or y >> m.cols:
         raise ValueError("target vector has bits outside the column range")
-    aug = [(m.data[i], 1 << i) for i in range(m.rows)]
-    combo = 0
-    row = 0
-    for col in range(m.cols):
-        bit = 1 << col
-        pivot = next((r for r in range(row, len(aug)) if aug[r][0] & bit), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        prow, pcombo = aug[row]
-        for r in range(len(aug)):
-            if r != row and aug[r][0] & bit:
-                aug[r] = (aug[r][0] ^ prow, aug[r][1] ^ pcombo)
-        if y & bit:
-            y ^= prow
-            combo ^= pcombo
-        row += 1
-        if row == len(aug):
-            break
-    return combo if y == 0 else None
+    work = [row | 1 << (m.cols + i) for i, row in enumerate(m.data)]
+    for i, col in enumerate(_gauss_jordan(work, range(m.cols))):
+        if y >> col & 1:
+            y ^= work[i]
+    return None if y & ((1 << m.cols) - 1) else y >> m.cols
 
 
 def to_text(m: BitMatrix) -> str:

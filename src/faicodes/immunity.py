@@ -25,6 +25,7 @@ from .boolfun import (
     format_function,
     high_degree_masks,
     mobius,
+    monomial_sum,
     monomial_tt,
     monomials_by_degree,
 )
@@ -74,34 +75,6 @@ class FaiResult:
         return self.profile_bound != self.value
 
 
-def _first_annihilator(f: BooleanFunction, e: int) -> tuple[int, int] | None:
-    """(degree, ANF) of the first nonzero annihilator of f of degree <= e, or None.
-
-    The columns f*m, for the monomials m in degree order, go into one XOR
-    basis; the high 2^n bits of a row hold the column and the low 2^n bits
-    the monomials it combines.  The first column that reduces to zero closes
-    the first dependency, and its combination (unique, the earlier columns
-    being independent) is the annihilator that the kernel of the evaluation
-    matrix yields first.  Only annihilator_witness needs that combination;
-    lda runs the same columns without it.
-    """
-    n = f.n
-    size = 1 << n
-    basis: dict[int, int] = {}
-    for d, level in enumerate(monomials_by_degree(n)[: e + 1]):
-        for m in level:
-            row = (f.tt & monomial_tt(m, n)) << size | 1 << m
-            while (lead := row.bit_length() - 1) >= size:
-                other = basis.get(lead)
-                if other is None:
-                    basis[lead] = row
-                    break
-                row ^= other
-            else:
-                return d, row
-    return None
-
-
 def lda(f: BooleanFunction) -> int | None:
     """Lowest degree of a nonzero annihilator of f; None when f is all-ones.
 
@@ -119,14 +92,25 @@ def lda(f: BooleanFunction) -> int | None:
 
 
 def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
-    """A nonzero g with deg(g) <= e and f*g = 0, verified, or None."""
-    hit = _first_annihilator(f, min(e, f.n))
-    if hit is None:
-        return None
-    g = Anf(f.n, hit[1])
-    if f.tt & mobius(g.coeffs, f.n):
-        raise AssertionError("annihilator witness failed the product check")
-    return g
+    """A nonzero g with deg(g) <= e and f*g = 0, verified, or None.
+
+    The columns f*m, monomials in degree order, go into one XOR basis as in
+    lda.  The first dependent column is a unique combination of the earlier
+    ones, which are independent; that combination plus its own monomial is
+    the annihilator the kernel of the evaluation matrix yields first.
+    """
+    n = f.n
+    slots = [0] * (1 << n)
+    monos = [m for level in monomials_by_degree(n)[: min(e, n) + 1] for m in level]
+    cols = [f.tt & monomial_tt(m, n) for m in monos]
+    for i, col in enumerate(cols):
+        if not insert(slots, col):
+            combo = solve_preimage(BitMatrix.from_rows(cols[:i], 1 << n), col)
+            g = Anf(n, monomial_sum(combo, monos) ^ 1 << monos[i])
+            if f.tt & mobius(g.coeffs, n):
+                raise AssertionError("annihilator witness failed the product check")
+            return g
+    return None
 
 
 def ai(f: BooleanFunction) -> int:
@@ -391,11 +375,7 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
         combo = solve_preimage(matrix, v_anf)
         if combo is None:
             raise AssertionError("admissible product is outside the product span")
-        g_coeffs = 0
-        while combo:
-            low = combo & -combo
-            g_coeffs ^= 1 << monos[low.bit_length() - 1]
-            combo ^= low
+        g_coeffs = monomial_sum(combo, monos)
 
     if g_coeffs in (0, 1):
         raise AssertionError("FAI witness degenerated to a constant")

@@ -38,7 +38,7 @@ from .codes import (
     rm,
     zero_code,
 )
-from .f2linalg import BitMatrix, rank, row_space_meet_dim
+from .f2linalg import BitMatrix, insert, rank, row_space_meet_dim
 from .gf2m import FieldGF2n, field_new
 from .immunity import fai
 
@@ -183,18 +183,19 @@ def pai_certificate(f: BooleanFunction, field: FieldGF2n | None = None) -> dict:
     wt = f.tt.bit_count()
     high = high_degree_masks(n)
     gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v]
-    tt_rows, monos = [f.tt], [0]
-    dim = hull = 0
+    monos = [0]
+    slots = [0] * size  # XOR basis of the rows f*m_u so far, one list across the orders
+    dim = int(insert(slots, f.tt))
+    hull = 0
     per_e = []
     for e, level in enumerate(monomials_by_degree(n)[1:], start=1):
         if dim < wt:
             for u in level:
-                tt_rows.append(f.tt & monomial_tt(u, n))
+                dim += insert(slots, f.tt & monomial_tt(u, n))
                 monos.append(u)
                 low = u & -u  # row u at v is row u - low at v|low: copy those columns down
                 prev = gamma[u ^ low] & monomial_tt(low, n)
                 gamma[u] = prev | prev >> low
-            dim = rank(BitMatrix.from_rows(tt_rows, size))
             low_cols = ~high[e]
             hull = dim - rank(BitMatrix.from_rows((gamma[u] & low_cols for u in monos), size))
         per_e.append({"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0})

@@ -132,6 +132,61 @@ def test_solve_preimage_examples():
     assert solve_preimage(m, 0b100) is None
 
 
+def _solve_preimage_reference(m, y):
+    """The earlier solver: Gauss-Jordan on (row, combination) pairs, y reduced column by column."""
+    aug = [(m.data[i], 1 << i) for i in range(m.rows)]
+    combo = 0
+    row = 0
+    for col in range(m.cols):
+        bit = 1 << col
+        pivot = next((r for r in range(row, len(aug)) if aug[r][0] & bit), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        prow, pcombo = aug[row]
+        for r in range(len(aug)):
+            if r != row and aug[r][0] & bit:
+                aug[r] = (aug[r][0] ^ prow, aug[r][1] ^ pcombo)
+        if y & bit:
+            y ^= prow
+            combo ^= pcombo
+        row += 1
+        if row == len(aug):
+            break
+    return combo if y == 0 else None
+
+
+def test_solve_preimage_matches_reference_solution():
+    # the same x, not just a valid one: witness_g in the analyze report is this x
+    rng = random.Random(0x5E)
+    matrices = [BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 5), BitMatrix.zeros(4, 0), BitMatrix.zeros(3, 6)]
+    for _ in range(400):
+        cols = rng.randrange(1, 12)
+        rows = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 16))]
+        if rng.random() < 0.5:  # a dependent row: several solutions
+            rows.append(rows[0] ^ rows[-1])
+        matrices.append(BitMatrix.from_rows(rows, cols))
+    seen = {"inconsistent": 0, "several": 0}
+    for m in matrices:
+        spanned = 0
+        for row in m.data:
+            if rng.getrandbits(1):
+                spanned ^= row
+        for y in (0, spanned, rng.getrandbits(m.cols) if m.cols else 0):
+            x = solve_preimage(m, y)
+            assert x == _solve_preimage_reference(m, y), (m, y)
+            if x is None:
+                seen["inconsistent"] += 1
+            elif rank(m) < m.rows:
+                seen["several"] += 1
+    assert min(seen.values()) > 50, seen
+    # greedy insert keeps rows {0, 1, 3}; Gauss-Jordan's pivot rows are {1, 2, 3}
+    m = BitMatrix.from_rows([0b110, 0b010, 0b100, 0b001], 3)
+    slots = [0] * 3
+    assert [insert(slots, row) for row in m.data] == [True, True, False, True]
+    assert solve_preimage(m, 0b111) == 0b1110
+
+
 def test_solve_preimage_target_range():
     with pytest.raises(ValueError):
         solve_preimage(BitMatrix.identity(2), 0b100)

@@ -25,10 +25,14 @@ GOLDEN = Path(__file__).parent / "golden"
 # the random specs were drawn with random.Random(f"golden:{n}")
 ANALYZE = (
     ("readme-maj3", "3:E8"),
+    # the only case whose witness solve has several solutions (its 6 products
+    # have rank 5), so it locks which particular solution solve_preimage returns
     ("readme-support-n5", "5:{1,2,4,8,16}"),
     ("all-ones-n3", "3:FF"),
     # FAI above the profile bound; no non-constant n=3 function diverges, so n=4
     ("diverged-n4", "4:0356"),
+    # the optimal product is f itself: witness g = 1 + the first annihilator
+    ("annihilator-route-n4", "4:0180"),
     ("carlet-feng-n5", "5:B41365B6"),
     ("random-n4", "4:3E1A"),
     ("random-n5", "5:537DADB8"),

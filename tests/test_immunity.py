@@ -8,6 +8,7 @@ from faicodes.boolfun import (
     anf_of,
     complement,
     delta,
+    monomial_tt,
     monomials_by_degree,
     multiply,
     parse_function,
@@ -19,7 +20,6 @@ from faicodes.immunity import (
     ImmunityProfile,
     _benes,
     _degree_order,
-    _first_annihilator,
     _g_table,
     _permute,
     ai,
@@ -339,12 +339,34 @@ def test_benes_routes_random_permutations():
                 assert _permute(row, network[::-1]) == _bit_loop(row, inverse)
 
 
-def test_lda_matches_tagged_column_route():
-    # the tag-free column route against the degree of the tagged one's first annihilator
-    def tagged(f):
-        hit = _first_annihilator(f, f.n)
-        return None if hit is None else hit[0]
+def _first_annihilator(f, e):
+    """Reference: (degree, ANF) of the first nonzero annihilator of f of degree <= e, or None.
 
+    The columns f*m, for the monomials m in degree order, go into one XOR
+    basis held in a dict by lead bit; the high 2^n bits of a row hold the
+    column and the low 2^n bits the monomials it combines.  The first column
+    that reduces to zero closes the first dependency, and its tag is the
+    annihilator.
+    """
+    n = f.n
+    size = 1 << n
+    basis = {}
+    for d, level in enumerate(monomials_by_degree(n)[: e + 1]):
+        for m in level:
+            row = (f.tt & monomial_tt(m, n)) << size | 1 << m
+            while (lead := row.bit_length() - 1) >= size:
+                other = basis.get(lead)
+                if other is None:
+                    basis[lead] = row
+                    break
+                row ^= other
+            else:
+                return d, row
+    return None
+
+
+def test_lda_matches_tagged_column_route():
+    # lda and annihilator_witness against the tagged column route, at every order e
     rng = random.Random(22)
     seeded = []
     for i in range(200):
@@ -354,4 +376,8 @@ def test_lda_matches_tagged_column_route():
             tt &= rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
         seeded.append(BooleanFunction(n, tt))
     for f in [*_functions(3, (), 0, seed=0), *seeded]:
-        assert lda(f) == tagged(f), f
+        for e in range(f.n + 1):
+            hit = _first_annihilator(f, e)
+            got = annihilator_witness(f, e)
+            assert (None if got is None else got.coeffs) == (None if hit is None else hit[1]), (f, e)
+        assert lda(f) == (None if hit is None else hit[0]), f  # hit at e = n
