@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from .boolfun import (
     BooleanFunction,
     anf_degree,
     anf_of,
+    complement,
     format_anf,
     format_function,
     high_degree_masks,
@@ -114,10 +116,28 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
 
 
 def ai(f: BooleanFunction) -> int:
-    """min(lda(f), lda(1+f)); the all-ones side never blocks both."""
-    full = (1 << f.size) - 1
-    vals = [v for v in (lda(f), lda(BooleanFunction(f.n, f.tt ^ full))) if v is not None]
-    return min(vals)
+    """min(lda(f), lda(1+f)) from one scan of both sides, degree by degree.
+
+    Level d of the columns f*m goes into an XOR basis for f, then level d of
+    the columns (1+f)*m into one for 1+f; the first dependent column on
+    either side gives AI = d.  A side's columns live on its support, so once
+    C(n, <= d) exceeds the lighter side's weight that side has a dependency
+    at level d, no lower level having had one.
+    """
+    n = f.n
+    wt = f.tt.bit_count()
+    lighter = min(wt, f.size - wt)
+    sides = [(tt, [0] * f.size) for tt in (f.tt, f.tt ^ ((1 << f.size) - 1))]
+    count = 0
+    for d, level in enumerate(monomials_by_degree(n)):
+        count += len(level)
+        if count > lighter:
+            return d
+        for tt, slots in sides:
+            for m in level:
+                if not insert(slots, tt & monomial_tt(m, n)):
+                    return d
+    raise AssertionError("unreachable: C(n, <= n) = 2^n exceeds every weight bound")
 
 
 def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
@@ -391,17 +411,30 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
 
 
 def ffai(f: BooleanFunction) -> int:
-    """min(FAI(f), FAI(1+f)); rejects constants, where one side is undefined."""
+    """min(FAI(f), FAI(1+f)); rejects constants, where one side is undefined.
+
+    f's pass runs in full and gives FAI(f) and lda(f); the pass on 1+f reads
+    only its layers k < FAI(f) - lda(f), the only ones that can go lower.
+    """
     if f.is_constant():
         raise ValueError("FFAI is undefined for constant functions")
-    full = (1 << f.size) - 1
-    return min(_fai_value(f), _fai_value(BooleanFunction(f.n, f.tt ^ full)))
+    layers = list(_layers(f))
+    best = _best_layer(layers)
+    return _ffai(best.k + best.mu_adm, layers[-1].lda, complement(f))
 
 
-def _fai_value(f: BooleanFunction) -> int:
-    """FAI(f) of a nonzero f from one product pass, without a witness."""
-    best = _best_layer(_layers(f))
-    return best.k + best.mu_adm
+def _ffai(fai_f: int, lda_f: int, fc: BooleanFunction) -> int:
+    """min(FAI(f), FAI(fc)) for fc = 1+f from FAI(f) and lda(f), f non-constant.
+
+    A nonzero product fc*g annihilates f, so its degree is >= lda(f) and
+    layer k of fc's pass has k + mu'_k >= k + lda(f).  Only the layers
+    k < FAI(f) - lda(f) can go below FAI(f); the pass inserts no later level.
+    """
+    best = fai_f
+    for layer in islice(_layers(fc), max(0, fai_f - lda_f - 1)):
+        if layer.mu_adm is not None:
+            best = min(best, layer.k + layer.mu_adm)
+    return best
 
 
 def is_pai(f: BooleanFunction) -> bool:
@@ -417,7 +450,8 @@ def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
 
     The degree cap is sound because any optimal witness g has
     deg(g) <= floor(FAI/2) <= floor(n/2) (with a floor of 1 so the range is
-    never empty).  Vectorized over every nonzero coefficient choice.
+    never empty).  Vectorized over every coefficient choice, each product's
+    ANF built by linearity from those of the products f*m.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
@@ -429,20 +463,21 @@ def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
         raise ValueError("supply a degree cap for n > 5 (search-space guard)")
     if n > 6:
         raise ValueError("direct search supports n <= 6 (64-bit truth tables)")
-    count = sum(len(level) for level in monomials_by_degree(n)[: eff + 1])
-    if count > 20:
-        raise ValueError(f"search space 2^{count} exceeds the enumeration guard")
+    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
+    if len(monos) > 20:
+        raise ValueError(f"search space 2^{len(monos)} exceeds the enumeration guard")
 
-    idx, g_tt, g_deg = _g_table(n, eff)
-    prod = g_tt & np.uint64(f.tt)
-    anf = prod.copy()
-    for shift, mask in _vector_butterfly(n):
-        anf ^= (anf & mask) << shift
-    deg_p = np.zeros(idx.shape, dtype=np.int8)
+    g_deg = _g_table(n, eff)
+    # g -> anf(f*g) is linear: selector s = 2^t + r gives the ANF of r's product plus f*m_t's
+    anf = np.zeros(g_deg.shape, dtype=np.uint64)
+    for t, m in enumerate(monos):
+        anf[1 << t : 2 << t] = anf[: 1 << t] ^ np.uint64(mobius(f.tt & monomial_tt(m, n), n))
+    deg_p = np.zeros(anf.shape, dtype=np.int8)
     for high in high_degree_masks(n)[:n]:
         deg_p += ((anf & np.uint64(high)) != 0).astype(np.int8)
 
-    valid = (prod != 0) & (idx != 1)  # idx 1 selects only the constant monomial: g = 1
+    valid = anf != 0  # f*g is nonzero iff its ANF is; this drops selector 0, g = 0
+    valid[1] = False  # selector 1 picks only the constant monomial: g = 1
     totals = (g_deg + deg_p)[valid]
     if totals.size == 0:
         raise AssertionError("no admissible g found; the degree cap argument fails")
@@ -450,41 +485,31 @@ def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
 
 
 @lru_cache(maxsize=8)
-def _g_table(n: int, eff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every nonzero g with deg(g) <= eff: (selector index, truth table, degree), read-only.
+def _g_table(n: int, eff: int) -> np.ndarray:
+    """deg(g) of every g with deg(g) <= eff, indexed by selector, read-only.
 
-    Selector bit t picks the t-th monomial in degree order, so index 1 is g = 1.
+    Selector bit t picks the t-th monomial in degree order, so selector 0 is
+    g = 0, selector 1 is g = 1, and the top set bit picks the highest degree.
     """
     monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
-    idx = np.arange(1, 1 << len(monos), dtype=np.uint32)
-    g_tt = np.zeros(idx.shape, dtype=np.uint64)
-    g_deg = np.zeros(idx.shape, dtype=np.int8)
+    g_deg = np.zeros(1 << len(monos), dtype=np.int8)
     for t, m in enumerate(monos):
-        chosen = ((idx >> np.uint32(t)) & np.uint32(1)).astype(bool)
-        g_tt[chosen] ^= np.uint64(monomial_tt(m, n))
-        np.maximum(g_deg, np.where(chosen, np.int8(m.bit_count()), np.int8(0)), out=g_deg)
-    for table in (idx, g_tt, g_deg):
-        table.flags.writeable = False
-    return idx, g_tt, g_deg
-
-
-@lru_cache(maxsize=None)
-def _vector_butterfly(n: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
-    from .boolfun import _butterfly_masks  # shares the scalar transform's masks
-
-    return tuple((np.uint64(s), np.uint64(m)) for s, m in _butterfly_masks(n))
+        g_deg[1 << t : 2 << t] = m.bit_count()
+    g_deg.flags.writeable = False
+    return g_deg
 
 
 def function_report(f: BooleanFunction) -> dict:
     """The per-function analysis record (tt, degrees, immunities, witness).
 
-    One product pass on f gives the profile, FAI and its witness; a
-    value-only pass on 1+f gives FFAI; the column route gives both LDAs.
+    One product pass on f gives the profile, FAI and its witness; the
+    column route gives both LDAs; FFAI takes from 1+f's value-only pass only
+    the layers k < FAI(f) - lda(f), since a nonzero (1+f)*g annihilates f
+    and so has degree >= lda(f).
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
-    full = (1 << f.size) - 1
-    fc = BooleanFunction(f.n, f.tt ^ full)
+    fc = complement(f)
     layers = list(_layers(f))
     res = _fai(f, layers)
     lda_f, lda_fc = lda(f), lda(fc)
@@ -498,7 +523,7 @@ def function_report(f: BooleanFunction) -> dict:
         "lda_fc": lda_fc,
         "profile": [layer.mu for layer in layers],
         "fai": res.value,
-        "ffai": None if f.is_constant() else min(res.value, _fai_value(fc)),
+        "ffai": None if f.is_constant() else _ffai(res.value, lda_f, fc),
         "witness_g": format_anf(res.witness.g),
         "witness_total": res.witness.total,
     }

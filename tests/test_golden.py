@@ -22,7 +22,11 @@ from faicodes.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# the random specs were drawn with random.Random(f"golden:{n}")
+# the random specs were drawn with random.Random(f"golden:{n}").  FFAI reads
+# only the layers k < FAI(f) - lda(f) of the pass on 1+f: readme-maj3 has
+# FAI(f) - lda(f) - 1 = 0 and runs no such pass at all, while in
+# readme-support-n5 and annihilator-route-n4 FAI(1+f) < FAI(f), so a layer of
+# that bounded pass sets FFAI
 ANALYZE = (
     ("readme-maj3", "3:E8"),
     # the only case whose witness solve has several solutions (its 6 products
@@ -60,7 +64,7 @@ def _drawn(n: int) -> str:
 
 
 # the n = 10/11 sizes of the benchmark's analyze workload; analyze only
-ANALYZE_LARGE = (("random-n11", _drawn(11)),)
+ANALYZE_LARGE = (("random-n10", _drawn(10)), ("random-n11", _drawn(11)))
 
 CARLET_FENG = (
     ("n4-all-offsets", ("4", "--all-offsets")),

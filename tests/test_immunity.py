@@ -1,13 +1,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from faicodes.boolfun import (
     BooleanFunction,
+    _butterfly_masks,
     anf_of,
     complement,
     delta,
+    high_degree_masks,
     monomial_tt,
     monomials_by_degree,
     multiply,
@@ -19,8 +22,10 @@ from faicodes.f2linalg import BitMatrix, kernel_basis, row_space_meet_dim
 from faicodes.immunity import (
     ImmunityProfile,
     _benes,
+    _best_layer,
     _degree_order,
     _g_table,
+    _layers,
     _permute,
     ai,
     annihilator_witness,
@@ -286,10 +291,74 @@ def test_function_report_matches_public_calls():
 def test_fai_direct_table_is_cached_read_only():
     f = parse_function("5:B41365B6")
     first = fai_direct(f)
-    idx, g_tt, g_deg = _g_table(5, 2)
-    assert _g_table(5, 2)[0] is idx
-    assert not (idx.flags.writeable or g_tt.flags.writeable or g_deg.flags.writeable)
+    g_deg = _g_table(5, 2)
+    assert _g_table(5, 2) is g_deg
+    assert not g_deg.flags.writeable
     assert fai_direct(f) == first == fai(f).value
+
+
+def _two_sided_cases():
+    """Every function at n <= 3, then seeded n = 4..10, most of them weight-skewed."""
+    yield from _functions(3, (), 0, seed=0)
+    rng = random.Random(19)
+    for n in range(4, 11):
+        for i in range(8 if n < 9 else 3):
+            p = (0.5, 0.1, 0.9, 0.03, 0.97)[i % 5]
+            yield BooleanFunction(n, sum(1 << x for x in range(1 << n) if rng.random() < p))
+
+
+def _fai_value(f):
+    """Reference: FAI(f) from the unbounded product pass, without a witness."""
+    best = _best_layer(_layers(f))
+    return best.k + best.mu_adm
+
+
+def test_ffai_bounded_pass_matches_unbounded_min():
+    for f in _two_sided_cases():
+        if f.is_constant():
+            continue
+        want = min(_fai_value(f), _fai_value(complement(f)))
+        assert ffai(f) == want, f
+        assert function_report(f)["ffai"] == want, f
+
+
+def test_ai_scan_matches_min_of_ldas():
+    for f in _two_sided_cases():
+        assert ai(f) == min(v for v in (lda(f), lda(complement(f))) if v is not None), f
+
+
+def _fai_direct_butterfly(f, cap=None):
+    """Reference: the product truth tables g*f of every g, one vectorized butterfly to ANF."""
+    n = f.n
+    eff = max(1, n // 2) if cap is None else min(max(1, cap), max(1, n // 2))
+    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
+    idx = np.arange(1, 1 << len(monos), dtype=np.uint32)
+    g_tt = np.zeros(idx.shape, dtype=np.uint64)
+    g_deg = np.zeros(idx.shape, dtype=np.int8)
+    for t, m in enumerate(monos):
+        chosen = ((idx >> np.uint32(t)) & np.uint32(1)).astype(bool)
+        g_tt[chosen] ^= np.uint64(monomial_tt(m, n))
+        np.maximum(g_deg, np.where(chosen, np.int8(m.bit_count()), np.int8(0)), out=g_deg)
+    prod = g_tt & np.uint64(f.tt)
+    anf = prod.copy()
+    for shift, mask in _butterfly_masks(n):
+        anf ^= (anf & np.uint64(mask)) << np.uint64(shift)
+    deg_p = np.zeros(idx.shape, dtype=np.int8)
+    for high in high_degree_masks(n)[:n]:
+        deg_p += ((anf & np.uint64(high)) != 0).astype(np.int8)
+    valid = (prod != 0) & (idx != 1)
+    return int((g_deg + deg_p)[valid].min())
+
+
+def test_fai_direct_matches_butterfly_reference():
+    for f in _functions(3, (4, 5), 25, seed=20):
+        if f.tt:
+            assert fai_direct(f) == _fai_direct_butterfly(f), f
+    rng = random.Random(21)
+    for _ in range(10):
+        f = random_nonconstant(6, rng)
+        for cap in (0, 1):
+            assert fai_direct(f, cap=cap) == _fai_direct_butterfly(f, cap=cap), f
 
 
 def _bit_loop(bits, pos):
