@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from math import comb, inf
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -77,20 +77,34 @@ class FaiResult:
         return self.profile_bound != self.value
 
 
+def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
+    """The column route: the least d where a column tt*m, deg m = d, depends on earlier ones.
+
+    Each table's columns, monomials in degree order, go into its own XOR
+    basis, level by level.  They live on supp(tt), so once C(n, <= d) exceeds
+    the lightest weight, level d is dependent and no lower level was: d is
+    returned without inserting it.  None when no column depends.
+    """
+    lightest = min(tt.bit_count() for tt in tts)
+    bases = [(tt, [0] * (1 << n)) for tt in tts]
+    count = 0
+    for d, level in enumerate(monomials_by_degree(n)):
+        count += len(level)
+        if count > lightest:
+            return d
+        for tt, slots in bases:
+            for m in level:
+                if not insert(slots, tt & monomial_tt(m, n)):
+                    return d
+    return None
+
+
 def lda(f: BooleanFunction) -> int | None:
     """Lowest degree of a nonzero annihilator of f; None when f is all-ones.
 
-    The column route: the truth tables f*m, monomials in degree order, go
-    into one XOR basis, and the degree of the first that depends on the
-    ones before it is lda(f).
+    The column scan of f alone, which ends by the first d with C(n, <= d) > wt(f).
     """
-    n = f.n
-    slots = [0] * (1 << n)
-    for d, level in enumerate(monomials_by_degree(n)):
-        for m in level:
-            if not insert(slots, f.tt & monomial_tt(m, n)):
-                return d
-    return None
+    return _first_dependency(f.n, (f.tt,))
 
 
 def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
@@ -116,28 +130,11 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
 
 
 def ai(f: BooleanFunction) -> int:
-    """min(lda(f), lda(1+f)) from one scan of both sides, degree by degree.
+    """min(lda(f), lda(1+f)) from one column scan of both sides, degree by degree.
 
-    Level d of the columns f*m goes into an XOR basis for f, then level d of
-    the columns (1+f)*m into one for 1+f; the first dependent column on
-    either side gives AI = d.  A side's columns live on its support, so once
-    C(n, <= d) exceeds the lighter side's weight that side has a dependency
-    at level d, no lower level having had one.
+    Never None: the lighter side weighs at most 2^(n-1) < C(n, <= n).
     """
-    n = f.n
-    wt = f.tt.bit_count()
-    lighter = min(wt, f.size - wt)
-    sides = [(tt, [0] * f.size) for tt in (f.tt, f.tt ^ ((1 << f.size) - 1))]
-    count = 0
-    for d, level in enumerate(monomials_by_degree(n)):
-        count += len(level)
-        if count > lighter:
-            return d
-        for tt, slots in sides:
-            for m in level:
-                if not insert(slots, tt & monomial_tt(m, n)):
-                    return d
-    raise AssertionError("unreachable: C(n, <= n) = 2^n exceeds every weight bound")
+    return _first_dependency(f.n, (f.tt, f.tt ^ ((1 << f.size) - 1)))
 
 
 def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
@@ -269,20 +266,10 @@ def _admissible_mu(
     rows come from _DegreeBasis.rows_by_degree().  A None witness row with a
     non-None mu' means the product f itself, reachable via 1 + annihilator.
     """
-    if not rows:
-        return None, None
-    if annihilators_ok:
-        d = rows[0][0]
-        for deg, row in rows:
-            if deg > d:
-                break
-            if row != anf_f_perm:
-                return d, row
-        return d, None  # only f sits at the minimum; 1 + annihilator reaches it
-    for deg, row in rows:
-        if row != anf_f_perm:
-            return deg, row
-    return None, None
+    other = next(((deg, row) for deg, row in rows if row != anf_f_perm), (None, None))
+    if annihilators_ok and rows and other[0] != rows[0][0]:
+        return rows[0][0], None  # only f sits at the minimum; 1 + annihilator reaches it
+    return other
 
 
 class _Layer(NamedTuple):
@@ -295,7 +282,7 @@ class _Layer(NamedTuple):
     lda: int | None  # lda(f) when it is <= k, else None
 
 
-def _layers(f: BooleanFunction) -> Iterator[_Layer]:
+def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     """Insert each product f*m once, monomials in degree order; yield k = 1..n.
 
     The first product that is zero or dependent marks the lowest-degree
@@ -303,6 +290,13 @@ def _layers(f: BooleanFunction) -> Iterator[_Layer]:
     the functions supported on supp(f), so once the basis has wt(f) rows
     every further product is dependent: the pass stops inserting, and the
     later layers repeat the last one.
+
+    floor, when given, is lda(1+f), which bounds every mu_k from below (a
+    nonzero f*g annihilates 1+f); a layer under it raises AssertionError.
+    mu and mu' never rise, so from the first layer with mu'_k == floor on,
+    mu = mu' = floor.  Once lda(f) is known there too (found, or k + 1 when
+    C(n, <= k + 1) > wt(f)) the pass stops inserting; only the rows of the
+    later layers, none of which can be _best_layer, may differ.
     """
     n = f.n
     weight = f.tt.bit_count()
@@ -310,10 +304,11 @@ def _layers(f: BooleanFunction) -> Iterator[_Layer]:
     anf_f_perm = _permute(mobius(f.tt, n), basis.order.to_degree)
     lda_f: int | None = None
     layer: _Layer | None = None
+    settled = False  # by the floor
     for k, level in enumerate(monomials_by_degree(n)):
-        full = basis.rank == weight
+        full = settled or basis.rank == weight
         for m in level:
-            if basis.rank == weight:
+            if full or basis.rank == weight:
                 if lda_f is None:
                     lda_f = k
                 break
@@ -324,6 +319,11 @@ def _layers(f: BooleanFunction) -> Iterator[_Layer]:
                 rows = basis.rows_by_degree()
                 mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
                 layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f)
+                if floor is not None:
+                    if layer.mu < floor:
+                        raise AssertionError("a product of f has degree below lda(1+f)")
+                    # lda(f) unknown: the basis.rank products so far are independent
+                    settled = mu_adm == floor and (lda_f is not None or basis.rank + comb(n, k + 1) > weight)
             yield layer._replace(k=k)
 
 
@@ -373,8 +373,7 @@ def _fai(f: BooleanFunction, layers: list[_Layer]) -> FaiResult:
             f.tt,
             f.n,
         )
-    total = witness.g.degree() + witness.product.degree()
-    if total != value:
+    if witness.total != value:
         raise AssertionError("FAI witness total does not match the layered search")
     return FaiResult(value, witness, profile_bound)
 
@@ -413,28 +412,29 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
 def ffai(f: BooleanFunction) -> int:
     """min(FAI(f), FAI(1+f)); rejects constants, where one side is undefined.
 
-    f's pass runs in full and gives FAI(f) and lda(f); the pass on 1+f reads
-    only its layers k < FAI(f) - lda(f), the only ones that can go lower.
+    lda(1+f) floors f's pass and lda(f) the pass on 1+f, so each reads only
+    the layers that can still go below the least k + mu'_k so far.
     """
     if f.is_constant():
         raise ValueError("FFAI is undefined for constant functions")
-    layers = list(_layers(f))
-    best = _best_layer(layers)
-    return _ffai(best.k + best.mu_adm, layers[-1].lda, complement(f))
+    fc = complement(f)
+    lda_f, lda_fc = lda(f), lda(fc)
+    return _least_total(_layers(fc, lda_f), lda_f, _least_total(_layers(f, lda_fc), lda_fc))
 
 
-def _ffai(fai_f: int, lda_f: int, fc: BooleanFunction) -> int:
-    """min(FAI(f), FAI(fc)) for fc = 1+f from FAI(f) and lda(f), f non-constant.
+def _least_total(layers: Iterator[_Layer], floor: int, best: float = inf) -> int:
+    """min(best, least k + mu'_k) over the lazy pass on a nonzero f floored at floor.
 
-    A nonzero product fc*g annihilates f, so its degree is >= lda(f) and
-    layer k of fc's pass has k + mu'_k >= k + lda(f).  Only the layers
-    k < FAI(f) - lda(f) can go below FAI(f); the pass inserts no later level.
+    Layer k has k + mu'_k >= k + floor, so no layer k with k + floor >= best
+    is read, and its level is never inserted.
     """
-    best = fai_f
-    for layer in islice(_layers(fc), max(0, fai_f - lda_f - 1)):
-        if layer.mu_adm is not None:
-            best = min(best, layer.k + layer.mu_adm)
-    return best
+    if 1 + floor < best:
+        for layer in layers:
+            if layer.mu_adm is not None:
+                best = min(best, layer.k + layer.mu_adm)
+            if layer.k + 1 + floor >= best:
+                break
+    return int(best)
 
 
 def is_pai(f: BooleanFunction) -> bool:
@@ -502,17 +502,16 @@ def _g_table(n: int, eff: int) -> np.ndarray:
 def function_report(f: BooleanFunction) -> dict:
     """The per-function analysis record (tt, degrees, immunities, witness).
 
-    One product pass on f gives the profile, FAI and its witness; the
-    column route gives both LDAs; FFAI takes from 1+f's value-only pass only
-    the layers k < FAI(f) - lda(f), since a nonzero (1+f)*g annihilates f
-    and so has degree >= lda(f).
+    The column route gives both LDAs first.  One product pass on f, floored
+    at lda(1+f), gives the profile, FAI and its witness; FFAI reads from the
+    pass on 1+f, floored at lda(f), only the layers that can go below FAI(f).
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
     fc = complement(f)
-    layers = list(_layers(f))
-    res = _fai(f, layers)
     lda_f, lda_fc = lda(f), lda(fc)
+    layers = list(_layers(f, lda_fc))
+    res = _fai(f, layers)
     record = {
         "tt": format_function(f),
         "n": f.n,
@@ -523,7 +522,7 @@ def function_report(f: BooleanFunction) -> dict:
         "lda_fc": lda_fc,
         "profile": [layer.mu for layer in layers],
         "fai": res.value,
-        "ffai": None if f.is_constant() else _ffai(res.value, lda_f, fc),
+        "ffai": None if f.is_constant() else _least_total(_layers(fc, lda_f), lda_f, res.value),
         "witness_g": format_anf(res.witness.g),
         "witness_total": res.witness.total,
     }

@@ -298,6 +298,7 @@ def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
         rep.check(all(x >= y for x, y in zip(vals, vals[1:])), "profile-non-increasing", _fmt(f))
         deg_f = degree(f)
         rep.check(all(m is not None and m <= deg_f for m in p.mu), "mu-le-deg", _fmt(f))
+        rep.check(lda_fc == min(vals) == p.mu[-1], "profile-floor", _fmt(f))  # _layers(f, floor=lda_fc)
         pc = profile(fc)
         mus_c = [m for m in pc.mu if m is not None]
         rep.check(lda_f == min(mus_c), "ldamul-min", _fmt(f))

@@ -63,8 +63,18 @@ def _drawn(n: int) -> str:
     return f"{n}:{random.Random(f'golden:{n}').getrandbits(1 << n):0{(1 << n) // 4}X}"
 
 
-# the n = 10/11 sizes of the benchmark's analyze workload; analyze only
-ANALYZE_LARGE = (("random-n10", _drawn(10)), ("random-n11", _drawn(11)))
+# the n = 10/11 sizes of the benchmark's analyze workload; analyze only.
+# carlet-feng-n9 (offset 0, default modulus) sits at the count boundary:
+# wt = 256 = C(9, <= 4), so neither counting bound ends a scan early
+ANALYZE_LARGE = (
+    ("random-n10", _drawn(10)),
+    ("random-n11", _drawn(11)),
+    (
+        "carlet-feng-n9",
+        "9:2F7418EAE9C802D0A4D5AD97E714550DA272DD75D62F99E25661B87A50A76227"
+        "3E48980C2F37B6F30CFFE358E94CC3836842376D2F9C9A91887B36450D6B395E",
+    ),
+)
 
 CARLET_FENG = (
     ("n4-all-offsets", ("4", "--all-offsets")),

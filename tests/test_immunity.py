@@ -19,13 +19,16 @@ from faicodes.boolfun import (
     tt_of,
 )
 from faicodes.f2linalg import BitMatrix, kernel_basis, row_space_meet_dim
+import faicodes.immunity as immunity
 from faicodes.immunity import (
     ImmunityProfile,
     _benes,
     _best_layer,
     _degree_order,
+    _DegreeBasis,
     _g_table,
     _layers,
+    _least_total,
     _permute,
     ai,
     annihilator_witness,
@@ -325,6 +328,77 @@ def test_ffai_bounded_pass_matches_unbounded_min():
 def test_ai_scan_matches_min_of_ldas():
     for f in _two_sided_cases():
         assert ai(f) == min(v for v in (lda(f), lda(complement(f))) if v is not None), f
+
+
+def test_ffai_stops_each_pass_at_its_floor():
+    # each side of ffai alone: the pass floored at the other side's lda, read
+    # only while k + floor < the least total so far, against the full pass
+    for f in _two_sided_cases():
+        if f.is_constant():
+            continue
+        for side, other in ((f, complement(f)), (complement(f), f)):
+            floor = lda(other)
+            assert _least_total(_layers(side, floor), floor) == _fai_value(side), side
+
+
+def _count_boundary_cases():
+    """Every function at n <= 3; then at n = 4..11 the weights 0, 1, 2^n - 1,
+    2^n and every C(n, <= d), the majority function and one random function."""
+    yield from _functions(3, (), 0, seed=0)
+    rng = random.Random(23)
+    for n in range(4, 12):
+        size = 1 << n
+        weights = [0, 1, size - 1, size] + [sum(math.comb(n, i) for i in range(d + 1)) for d in range(n)]
+        for w in weights:
+            yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(size), w)))
+        # odd n: wt = 2^(n-1) = C(n, <= (n-1)/2), and lda = (n+1)/2 is one level higher
+        yield BooleanFunction(n, sum(1 << x for x in range(size) if 2 * x.bit_count() > n))
+        yield BooleanFunction(n, rng.getrandbits(size))
+
+
+def test_lda_counting_bound_matches_unbounded():
+    # reference: the first dependency of the tagged column route, which inserts every level
+    for f in _count_boundary_cases():
+        want = [None if hit is None else hit[0] for hit in (_first_annihilator(g, g.n) for g in (f, complement(f)))]
+        assert [lda(f), lda(complement(f))] == want, f
+        assert ai(f) == min(v for v in want if v is not None), f
+
+
+def _floor_cases():
+    """Every function at n <= 3, then seeded dense and sparse ones at n = 4..11."""
+    yield from _functions(3, (), 0, seed=0)
+    rng = random.Random(24)
+    for n in range(4, 12):
+        for i in range(6 if n < 10 else 2):
+            p = (0.5, 0.1, 0.9)[i % 3]
+            yield BooleanFunction(n, sum(1 << x for x in range(1 << n) if rng.random() < p))
+
+
+def test_floor_stopped_pass_matches_full_pass(monkeypatch):
+    inserted = []
+    insert_anf = _DegreeBasis.insert_anf
+    monkeypatch.setattr(_DegreeBasis, "insert_anf", lambda self, coeffs: inserted.append(1) or insert_anf(self, coeffs))
+    full_pass = immunity._layers
+    counts = {"full": 0, "floor": 0}
+    for f in _floor_cases():
+        if f.tt == 0:
+            continue
+        full, stopped = list(_layers(f)), list(_layers(f, lda(complement(f))))
+        assert [(lay.k, lay.mu, lay.mu_adm, lay.lda) for lay in stopped] == [
+            (lay.k, lay.mu, lay.mu_adm, lay.lda) for lay in full
+        ], f
+        best = _best_layer(full)
+        assert _best_layer(stopped) == best and stopped[: best.k] == full[: best.k], f
+        del inserted[:]
+        with monkeypatch.context() as m:
+            m.setattr(immunity, "_layers", lambda g, floor=None: full_pass(g))
+            want = function_report(f)
+        counts["full"] += len(inserted)
+        del inserted[:]
+        assert function_report(f) == want, f
+        counts["floor"] += len(inserted)
+    # the report's floor has to end some passes early, or this compares a pass with itself
+    assert counts["floor"] < counts["full"], counts
 
 
 def _fai_direct_butterfly(f, cap=None):
