@@ -51,16 +51,8 @@ def superset_parity(bits: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _var_tts(n: int) -> tuple[int, ...]:
-    """Truth table of each coordinate function x_j (index j-1)."""
-    size = 1 << n
-    all_ones = (1 << size) - 1
-    out = []
-    for j in range(n):
-        step = 1 << j
-        period = step << 1
-        low = all_ones // ((1 << period) - 1) * ((1 << step) - 1)
-        out.append(low << step)
-    return tuple(out)
+    """Truth table of each coordinate function x_j (index j-1), the butterfly's high halves."""
+    return tuple(mask << shift for shift, mask in _butterfly_masks(n))
 
 
 @lru_cache(maxsize=8192)

@@ -111,11 +111,11 @@ def cmd_pai_verify(args: argparse.Namespace) -> int:
             n = args.search
             if n > 4:
                 raise SystemExit2("exhaustive search supports n <= 4; use carlet-feng for n = 5")
-            field = _field_for(n, args.modulus)
+            modulus = f"{_field_for(n, args.modulus).modulus:#x}"
             found = 0
             for tt in range(1, 1 << (1 << n)):
-                f = BooleanFunction(n, tt)
-                cert = pai_certificate(f, field)
+                cert = pai_certificate(BooleanFunction(n, tt))
+                cert["modulus"] = modulus
                 if cert["pai_by_def"]:
                     found += 1
                     _emit(out, cert, args.json)
@@ -126,7 +126,8 @@ def cmd_pai_verify(args: argparse.Namespace) -> int:
             if f.tt == 0:
                 raise SystemExit2("FAI is undefined for the zero function")
             field = _field_for(f.n, args.modulus)
-            cert = pai_certificate(f, field)
+            cert = pai_certificate(f)
+            cert["modulus"] = f"{field.modulus:#x}"
             _emit(out, cert, args.json)
             if not cert["agree"]:
                 status = 1
@@ -143,9 +144,9 @@ def cmd_carlet_feng(args: argparse.Namespace) -> int:
     status = 0
     try:
         for off in offsets:
-            sc = carlet_feng_support(args.n, off, args.count, field)
-            f = function_from_columns(sc, field)
-            cert = pai_certificate(f, field)
+            sc = carlet_feng_support(args.n, off, args.count)
+            cert = pai_certificate(function_from_columns(sc, field))
+            cert["modulus"] = f"{field.modulus:#x}"
             cert["offset"] = off
             cert["columns"] = sorted(sc.cols)
             _emit(out, cert, args.json)
@@ -197,32 +198,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="one JSON record per line")
-        p.add_argument("--out", help="write the report to a file")
-        p.add_argument("--modulus", help="hex primitive polynomial overriding the default")
+    shared = {
+        "--json": {"action": "store_true", "help": "one JSON record per line"},
+        "--out": {"help": "write the report to a file"},
+        "--modulus": {"help": "hex primitive polynomial overriding the default"},
+    }
+
+    def common(p: argparse.ArgumentParser, *flags: str) -> None:
+        """Register the shared options each subcommand reads, and no others."""
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("analyze", help="immunity report for one function")
     p.add_argument("function", help="function spec: n:HEX or n:{i1,i2,...}")
-    common(p)
+    common(p, "--json", "--out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("rm", help="emit a (punctured) Reed-Muller generator matrix")
     p.add_argument("d", type=int, help="order")
     p.add_argument("n", type=int, help="variables")
     p.add_argument("--punctured-by", help="restrict columns to this function's support")
-    common(p)
+    common(p, "--out", "--modulus")
     p.set_defaults(func=cmd_rm)
 
     p = sub.add_parser("lcd-check", help="hull/LCD report for a generator matrix file")
     p.add_argument("matrix", help="matrix file in the text format")
-    common(p)
+    common(p, "--json", "--out")
     p.set_defaults(func=cmd_lcd_check)
 
     p = sub.add_parser("pai-verify", help="PAI certificate for a function or a full search")
     p.add_argument("function", nargs="?", help="function spec")
     p.add_argument("--search", type=int, help="exhaustive search over all functions of n variables")
-    common(p)
+    common(p, "--json", "--out", "--modulus")
     p.set_defaults(func=cmd_pai_verify)
 
     p = sub.add_parser("carlet-feng", help="consecutive-power support candidates and verdicts")
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=0, help="first exponent of alpha")
     p.add_argument("--count", type=int, help="number of consecutive powers (default 2^(n-1))")
     p.add_argument("--all-offsets", action="store_true")
-    common(p)
+    common(p, "--json", "--out", "--modulus")
     p.set_defaults(func=cmd_carlet_feng)
 
     p = sub.add_parser("sweep", help="run a property sweep suite")
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("trials", type=int, nargs="?", default=1000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, "--json", "--out")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import f2linalg
 from .f2linalg import BitMatrix, _gauss_jordan, gram, rank, rref, solve_preimage
-from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus, point_index
+from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus
 from .boolfun import monomials_by_degree
 
 MIN_WEIGHT_DIM_GUARD = 24
@@ -55,7 +55,7 @@ def full_code(length: int) -> LinearCode:
 @lru_cache(maxsize=None)
 def _rm_cached(d: int, n: int, modulus: int) -> LinearCode:
     """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus."""
-    points = [point_index(p) for p in enumerate_points(field_with_modulus(n, modulus))]
+    points = enumerate_points(field_with_modulus(n, modulus))
     rows = []
     for level in monomials_by_degree(n)[: d + 1]:
         for m in level:
@@ -79,9 +79,12 @@ def rm(d: int, n: int, field: FieldGF2n | None = None) -> LinearCode:
 
 
 def column_points(n: int, field: FieldGF2n | None = None) -> tuple[int, ...]:
-    """Map from code column index to truth-table point index."""
-    field = field or field_new(n)
-    return tuple(point_index(p) for p in enumerate_points(field))
+    """Map from code column index to truth-table point index.
+
+    A field element's bit j - 1 (the coefficient of x^(j-1)) drives variable
+    x_j, so each enumerated point is already its own truth-table index.
+    """
+    return enumerate_points(field or field_new(n))
 
 
 def dual(c: LinearCode) -> LinearCode:

@@ -92,12 +92,3 @@ def field_mul(field: FieldGF2n, a: int, b: int) -> int:
 def enumerate_points(field: FieldGF2n) -> tuple[int, ...]:
     """The enumeration [0, alpha^0, alpha^1, ..., alpha^{2^n-2}] of all field elements."""
     return (0,) + field.exp
-
-
-def point_index(element: int) -> int:
-    """Truth-table index of a field element: coefficient of x^{j-1} drives variable x_j.
-
-    In polynomial-basis int coordinates this is the identity; it exists to
-    mark the spots where field elements cross into truth-table indexing.
-    """
-    return element

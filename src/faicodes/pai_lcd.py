@@ -10,9 +10,10 @@ rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and Massey's
 criterion gives hull = rank(G) - rank(G G^T) for any spanning set G.  The
 Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
 superset-parity transform of f.  Length, dimension and hull do not change
-when columns are permuted, so the field's point order plays no part; the
-punctured-RM route stays as the independent oracle (`is_pai_via_lcd`,
-`lcd_from_pai`).
+when columns are permuted, so the verdicts take no GF(2^n) point order;
+only the column-facing helpers (`support_columns`, `function_from_columns`,
+`lcd_from_pai`) take one.  The punctured-RM route stays as the independent
+oracle (`is_pai_via_lcd`, `lcd_from_pai`), on the default point order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .codes import (
     zero_code,
 )
 from .f2linalg import BitMatrix, insert, rank, row_space_meet_dim
-from .gf2m import FieldGF2n, field_new
+from .gf2m import FieldGF2n
 from .immunity import fai
 
 
@@ -68,26 +69,26 @@ def function_from_columns(sc: SupportColumns, field: FieldGF2n | None = None) ->
     return BooleanFunction(sc.n, tt)
 
 
-def _restricted_rm(e: int, n: int, sc: SupportColumns, field: FieldGF2n | None) -> LinearCode:
+def _restricted_rm(e: int, n: int, sc: SupportColumns, field: FieldGF2n | None = None) -> LinearCode:
     """RM(e, n) punctured at the complement of the support (restriction to it)."""
     return puncture(rm(e, n, field), sc.complement())
 
 
-def ai_exceeds_via_dims(f: BooleanFunction, e: int, field: FieldGF2n | None = None) -> bool:
+def ai_exceeds_via_dims(f: BooleanFunction, e: int) -> bool:
     """True iff AI(f) > e, decided purely by punctured Reed-Muller dimensions."""
     if f.is_constant():
         raise ValueError("the dimension criterion needs a non-constant function")
     if not 1 <= e <= f.n:
         raise ValueError(f"order {e} out of range 1..{f.n}")
     n = f.n
-    sc = support_columns(f, field)
+    sc = support_columns(f)
     full_dim = sum(len(level) for level in monomials_by_degree(n)[: e + 1])
-    on_support = puncture(rm(e, n, field), sc.complement())
-    off_support = puncture(rm(e, n, field), sc.cols)
+    on_support = _restricted_rm(e, n, sc)
+    off_support = puncture(rm(e, n), sc.cols)
     return on_support.dim == full_dim and off_support.dim == full_dim
 
 
-def fai_at_least_via_codes(f: BooleanFunction, s: int, field: FieldGF2n | None = None) -> bool:
+def fai_at_least_via_codes(f: BooleanFunction, s: int) -> bool:
     """True iff FAI(f) >= s, via meets of restricted RM codes with restricted duals.
 
     Requires deg(f) >= s - 1; orders above n collapse to the full space and
@@ -98,26 +99,25 @@ def fai_at_least_via_codes(f: BooleanFunction, s: int, field: FieldGF2n | None =
     if anf_of(f).degree() < s - 1:
         raise ValueError(f"degree hypothesis violated: deg(f) < {s - 1}")
     n = f.n
-    sc = support_columns(f, field)
-    comp = sc.complement()
+    comp = support_columns(f).complement()
     for e in range(1, n + 1):
-        left = puncture(rm(e, n, field), comp)
+        left = puncture(rm(e, n), comp)
         e2 = min(e + n - s, n)
         if e2 < 0:
             right = puncture(zero_code(1 << n), comp)
         else:
-            right = puncture(rm(e2, n, field), comp)
+            right = puncture(rm(e2, n), comp)
         if row_space_meet_dim(left.gen, dual(right).gen) != 0:
             return False
     return True
 
 
-def is_pai_via_lcd(f: BooleanFunction, field: FieldGF2n | None = None) -> bool:
+def is_pai_via_lcd(f: BooleanFunction) -> bool:
     """True iff the support-restricted RM(e, n) is LCD for every 1 <= e <= n."""
     if f.tt == 0:
         raise ValueError("the LCD criterion needs a nonzero function")
-    sc = support_columns(f, field)
-    return all(is_lcd(_restricted_rm(e, f.n, sc, field)) for e in range(1, f.n + 1))
+    sc = support_columns(f)
+    return all(is_lcd(_restricted_rm(e, f.n, sc)) for e in range(1, f.n + 1))
 
 
 def lcd_from_pai(f: BooleanFunction, e: int, field: FieldGF2n | None = None) -> LinearCode:
@@ -139,9 +139,7 @@ def lcd_from_pai(f: BooleanFunction, e: int, field: FieldGF2n | None = None) -> 
     return code
 
 
-def carlet_feng_support(
-    n: int, offset: int = 0, count: int | None = None, field: FieldGF2n | None = None
-) -> SupportColumns:
+def carlet_feng_support(n: int, offset: int = 0, count: int | None = None) -> SupportColumns:
     """Consecutive powers of alpha (0 adjoined when n is a power of two).
 
     Column j holds alpha^(j-1), so exponent e maps to column e + 1.  The
@@ -165,20 +163,19 @@ def carlet_feng_support(
     return SupportColumns(n, frozenset(cols))
 
 
-def pai_certificate(f: BooleanFunction, field: FieldGF2n | None = None) -> dict:
+def pai_certificate(f: BooleanFunction) -> dict:
     """Full PAI verdict: definitional FAI, LCD-ness per order, and agreement.
 
     Order e is RM(e, n) restricted to supp(f), spanned by the truth-table
     rows f*m_u with deg u <= e: its length is wt(f), its dimension their
     rank, and its hull that rank minus the rank of their Gram matrix
     Gamma(u, v) = F[u|v], where F[w] is the parity of supp(f) above w.  A
-    column permutation changes none of the three, so the result is the
-    same on every field's point order; the field only names the modulus.
+    column permutation changes none of the three, so the certificate is
+    the same on every GF(2^n) point order and names no modulus.
     Once the rank reaches wt(f), the code is all of GF(2)^wt(f), whose dual
     is zero: every later order keeps that dimension and the zero hull.
     """
     n = f.n
-    resolved = field or field_new(n)
     size = 1 << n
     wt = f.tt.bit_count()
     high = high_degree_masks(n)
@@ -212,5 +209,4 @@ def pai_certificate(f: BooleanFunction, field: FieldGF2n | None = None) -> dict:
         "pai_by_lcd": by_lcd,
         "agree": by_def == by_lcd,
         "per_e_lcd_status": per_e,
-        "modulus": f"{resolved.modulus:#x}",
     }

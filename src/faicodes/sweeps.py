@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .boolfun import (
     delta,
     format_function,
     interpolate_low_degree,
+    mobius,
     monomials_by_degree,
     multiply,
     random_affine_map,
@@ -82,7 +82,6 @@ class SweepReport:
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -112,7 +111,6 @@ def mobius_tt(a: Anf) -> int:
 
 def sweep_mobius_algebra(n: int, trials: int, seed: int) -> SweepReport:
     rep = SweepReport("mobius-algebra", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     for _ in range(trials):
         f = random_function(n, rng)
@@ -151,7 +149,6 @@ def sweep_mobius_algebra(n: int, trials: int, seed: int) -> SweepReport:
                 expected = max(degree(g0), degree(add(g0, g1)) + 1)
             rep.check(degree(cat) == expected, "concat-degree-identity", lambda: f"{_fmt(g0)} {_fmt(g1)}")
     rep.check(anf_of(delta(0, n)).coeffs == _all_ones(n), "delta0-anf-all-ones", f"n={n}")
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -164,7 +161,6 @@ def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
 
 def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
     rep = SweepReport("f2linalg", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     cols = max(2, n)
     for _ in range(trials):
@@ -213,7 +209,6 @@ def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
                     yy ^= a.data[i]
             rep.check(yy == y, "solve-preimage-valid", str((a.data, y)))
         rep.check(fl.from_text(fl.to_text(m)).data == m.data, "text-roundtrip", str(m.data))
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -260,7 +255,6 @@ def _diverged_class_ok(f: BooleanFunction, bound: int) -> bool:
 
 def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
     rep = SweepReport("fai-bounds", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
@@ -315,7 +309,6 @@ def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
             rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", _fmt(f))
         t = _tightness_instance(n, rng)
         rep.check(fai(t).value == 2, "tightness-fai-2", _fmt(t))
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -326,7 +319,6 @@ def sweep_affine_invariance(
     n: int, trials: int, seed: int, maps_per_function: int = 100
 ) -> SweepReport:
     rep = SweepReport("affine-invariance", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
@@ -341,7 +333,6 @@ def sweep_affine_invariance(
             rep.check(profile(g).mu == base_profile, "affine-profile", _fmt(f))
             rep.check(fai(g).value == base_fai, "affine-fai", _fmt(f))
             rep.check(ai(g) == base_ai, "affine-ai", _fmt(f))
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -359,7 +350,6 @@ def _random_low_weight(n: int, max_weight: int, rng: random.Random) -> BooleanFu
 
 def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
     rep = SweepReport("approximation", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     linear_tts = _nonzero_linear_tts(n)
     for _ in range(trials):
@@ -425,7 +415,6 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
                 and all((h_tt >> z) & 1 == 0 for z in zeros)
             )
             rep.check(ok, "interpolation-valid", f"zeros={sorted(zeros)} one={one} d={d_i}")
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -447,7 +436,6 @@ def sweep_concatenation(n: int, trials: int, seed: int) -> SweepReport:
     if n < 2:
         raise ValueError("concatenation sweep needs n >= 2")
     rep = SweepReport("concatenation", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     for _ in range(trials):
         f0 = random_nonconstant(n - 1, rng)
@@ -474,7 +462,6 @@ def sweep_concatenation(n: int, trials: int, seed: int) -> SweepReport:
             _fmt(f0),
         )
         rep.check(ff0 <= ffai(b) <= ff0 + 2, "bar-ffai-bracket", _fmt(f0))
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -484,7 +471,6 @@ def sweep_concatenation(n: int, trials: int, seed: int) -> SweepReport:
 def sweep_codes(n: int, trials: int, seed: int) -> SweepReport:
     """n is the largest RM variable count exercised (>= 2)."""
     rep = SweepReport("codes", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     for nn in range(2, n + 1):
         for d in range(nn + 1):
@@ -541,58 +527,45 @@ def sweep_codes(n: int, trials: int, seed: int) -> SweepReport:
         if is_lcd(c) and is_even_like(c):
             rep.check(c.dim % 2 == 0, "even-like-lcd-even-dim", f"len={length} dim={c.dim}")
         rep.check(import_code(export_code(c)) == c, "code-io-roundtrip", f"len={length}")
-    rep.elapsed = time.time() - t0
     return rep
 
 
 # --- oracles ----------------------------------------------------------------
 
 
+def _low_degree_tts(n: int, e: int) -> Iterator[int]:
+    """Truth tables of every nonzero g with deg(g) <= e, by brute ANF selection."""
+    monos = [m for level in monomials_by_degree(n)[: e + 1] for m in level]
+    for sel in range(1, 1 << len(monos)):
+        anf = 0
+        for t in range(len(monos)):
+            if (sel >> t) & 1:
+                anf ^= 1 << monos[t]
+        yield mobius(anf, n)
+
+
 def _brute_ai_table_n4() -> np.ndarray:
     """ai for all 65536 functions at n=4 by direct annihilator enumeration."""
-    from .boolfun import mobius
+    fs = np.arange(1 << 16, dtype=np.uint32)
 
-    n, size = 4, 16
-    fs = np.arange(1 << size, dtype=np.uint32)
-    full = np.uint32((1 << size) - 1)
-    levels = monomials_by_degree(n)
+    def has_annihilator(e: int) -> np.ndarray:
+        """Whether f or 1+f has a nonzero annihilator of degree <= e."""
+        found = np.zeros(1 << 16, dtype=bool)
+        for g in _low_degree_tts(4, e):
+            gg = np.uint32(g)
+            found |= ((fs & gg) == 0) | ((fs | gg) == fs)  # g annihilates 1+f iff supp(g) inside supp(f)
+        return found
 
-    def g_tts(e: int) -> set[int]:
-        """Truth tables of every nonzero g with deg(g) <= e."""
-        monos = [m for level in levels[: e + 1] for m in level]
-        out = set()
-        for sel in range(1, 1 << len(monos)):
-            anf = 0
-            for t in range(len(monos)):
-                if (sel >> t) & 1:
-                    anf ^= 1 << monos[t]
-            out.add(mobius(anf, n))
-        return out
-
-    ann1 = np.zeros(1 << size, dtype=bool)
-    ann1c = np.zeros(1 << size, dtype=bool)
-    ann2 = np.zeros(1 << size, dtype=bool)
-    ann2c = np.zeros(1 << size, dtype=bool)
-    for g in sorted(g_tts(1)):
-        gg = np.uint32(g)
-        ann1 |= (fs & gg) == 0
-        ann1c |= (fs | gg) == fs  # g annihilates 1+f  <=>  supp(g) inside supp(f)
-    for g in sorted(g_tts(2)):
-        gg = np.uint32(g)
-        ann2 |= (fs & gg) == 0
-        ann2c |= (fs | gg) == fs
-    out = np.full(1 << size, 3, dtype=np.int8)
-    out[ann2 | ann2c] = 2
-    out[ann1 | ann1c] = 1
-    out[fs == 0] = 0
-    out[fs == full] = 0
+    out = np.full(1 << 16, 3, dtype=np.int8)
+    out[has_annihilator(2)] = 2
+    out[has_annihilator(1)] = 1
+    out[(fs == 0) | (fs == 0xFFFF)] = 0
     return out
 
 
 def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
     """trials = 0 runs the exhaustive n=4 comparison against brute-force search."""
     rep = SweepReport("ai-oracle", n, trials, seed)
-    t0 = time.time()
     if trials == 0:
         if n != 4:
             raise ValueError("exhaustive ai-oracle mode is wired for n = 4")
@@ -614,46 +587,28 @@ def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
                     best = e
                     break
             rep.check(got == best, "ai-matches-bruteforce", lambda: _fmt(f))
-    rep.elapsed = time.time() - t0
     return rep
 
 
 def _has_annihilator_bruteforce(f: BooleanFunction, e: int) -> bool:
-    from .boolfun import mobius
-
-    monos = [m for level in monomials_by_degree(f.n)[: e + 1] for m in level]
-    for sel in range(1, 1 << len(monos)):
-        anf = 0
-        for t in range(len(monos)):
-            if (sel >> t) & 1:
-                anf ^= 1 << monos[t]
-        if f.tt & mobius(anf, f.n) == 0:
-            return True
-    return False
+    return any(f.tt & g == 0 for g in _low_degree_tts(f.n, e))
 
 
 def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
     """trials = 0 runs every non-constant function (n <= 3)."""
     rep = SweepReport("fai-oracle", n, trials, seed)
-    t0 = time.time()
     if trials == 0:
         if n > 3:
             raise ValueError("exhaustive fai-oracle mode is wired for n <= 3")
-        for tt in range(1, (1 << (1 << n)) - 1):
-            f = BooleanFunction(n, tt)
-            res = fai(f)
-            rep.check(res.value == fai_direct(f), "fai-matches-direct", lambda: _fmt(f))
-            if res.diverged:
-                rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", lambda: _fmt(f))
+        functions = (BooleanFunction(n, tt) for tt in range(1, (1 << (1 << n)) - 1))
     else:
         rng = random.Random(seed)
-        for _ in range(trials):
-            f = random_nonconstant(n, rng)
-            res = fai(f)
-            rep.check(res.value == fai_direct(f), "fai-matches-direct", lambda: _fmt(f))
-            if res.diverged:
-                rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", lambda: _fmt(f))
-    rep.elapsed = time.time() - t0
+        functions = (random_nonconstant(n, rng) for _ in range(trials))
+    for f in functions:
+        res = fai(f)
+        rep.check(res.value == fai_direct(f), "fai-matches-direct", lambda: _fmt(f))
+        if res.diverged:
+            rep.check(_diverged_class_ok(f, res.profile_bound), "divergence-class", lambda: _fmt(f))
     return rep
 
 
@@ -662,7 +617,6 @@ def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
 
 def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
     rep = SweepReport("pai-equivalence", n, trials, seed)
-    t0 = time.time()
     rng = random.Random(seed)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
@@ -687,7 +641,6 @@ def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
             "thm-pai-lcd-corrected",
             _fmt(f),
         )
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -710,7 +663,6 @@ def exhaustive_pai_sets(n: int) -> tuple[set[int], set[int], set[int]]:
 def sweep_carlet_feng(n: int, trials: int, seed: int) -> SweepReport:
     """Certificates for the m = 2^(n-1) candidate supports at every offset."""
     rep = SweepReport("carlet-feng", n, trials, seed)
-    t0 = time.time()
     order = (1 << n) - 1
     for offset in range(order):
         sc = carlet_feng_support(n, offset)
@@ -727,7 +679,6 @@ def sweep_carlet_feng(n: int, trials: int, seed: int) -> SweepReport:
             "cf-weight-parity",
             f"offset={offset} wt={cert['wt']}",
         )
-    rep.elapsed = time.time() - t0
     return rep
 
 

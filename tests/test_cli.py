@@ -106,6 +106,24 @@ def test_carlet_feng_modulus_override(capsys):
     assert rec["pai_by_def"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "3:E8", "--modulus", "0"),
+        ("lcd-check", "gen.txt", "--modulus", "B"),
+        ("sweep", "codes", "2", "1", "--modulus", "zz"),
+        ("rm", "1", "3", "--json"),
+    ],
+    ids=["analyze-modulus", "lcd-check-modulus", "sweep-modulus", "rm-json"],
+)
+def test_unread_flags_are_usage_errors(argv, capsys):
+    # each subcommand registers only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_pass_and_determinism(capsys):
     code1, out1, _ = run(capsys, "sweep", "fai-bounds", "4", "150", "--seed", "7")
     assert code1 == 0

@@ -8,7 +8,6 @@ from faicodes.gf2m import (
     field_mul,
     field_new,
     field_with_modulus,
-    point_index,
 )
 
 
@@ -45,7 +44,7 @@ def test_enumerate_points_n3_prefix():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_enumeration_is_bijection(n):
     pts = enumerate_points(field_new(n))
-    assert sorted(point_index(p) for p in pts) == list(range(1 << n))
+    assert sorted(pts) == list(range(1 << n))
 
 
 def test_log_exp_consistency():
@@ -74,9 +73,3 @@ def test_modulus_override():
         field_with_modulus(3, 0b111)   # wrong degree
     with pytest.raises(ValueError):
         field_with_modulus(4, 0b11111)  # x^4+x^3+x^2+x+1 has order 5, not primitive
-
-
-def test_point_index_trivia():
-    assert point_index(0) == 0
-    assert point_index(1) == 1
-    assert point_index(0b011) == 3

@@ -6,7 +6,8 @@ immunity report (values, witness text, key order); the `rm` and
 `lcd-check` ones lock the code export on the default and a non-default
 modulus; the `pai-verify` and `carlet-feng` ones lock the PAI certificate
 (per-order length, dimension, hull and verdicts, and the Carlet-Feng
-columns).  To record them again after an intended change of the output:
+columns); the `sweep` ones lock each suite's check count and notes at a
+fixed seed.  To record them again after an intended change of the output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -83,6 +84,23 @@ CARLET_FENG = (
     ("n8-offset3", ("8", "--offset", "3")),
 )
 
+# (suite, n, trials) of `sweep --seed 3 --json`; trials = 0 is the exhaustive variant
+SWEEP = (
+    ("mobius-algebra", 4, 50),
+    ("f2linalg", 4, 50),
+    ("fai-bounds", 4, 20),
+    ("affine-invariance", 3, 5),
+    ("approximation", 4, 20),
+    ("concatenation", 4, 20),
+    ("codes", 4, 20),
+    ("ai-oracle", 4, 0),
+    ("ai-oracle", 4, 20),
+    ("fai-oracle", 3, 0),
+    ("fai-oracle", 4, 10),
+    ("pai-equivalence", 4, 10),
+    ("carlet-feng", 4, 0),
+)
+
 # (name, argv, exit status); lcd-check reads an rm transcript recorded before it
 CASES = (
     tuple((f"analyze/{name}.json", ("analyze", spec, "--json"), 0) for name, spec in ANALYZE + ANALYZE_LARGE)
@@ -98,6 +116,10 @@ CASES = (
     )
     + tuple((f"pai-verify/{name}.json", ("pai-verify", *args, "--json"), st) for name, args, st in PAI_VERIFY)
     + tuple((f"carlet-feng/{name}.json", ("carlet-feng", *args, "--json"), 0) for name, args in CARLET_FENG)
+    + tuple(
+        (f"sweep/{suite}-n{n}-t{trials}.json", ("sweep", suite, str(n), str(trials), "--seed", "3", "--json"), 0)
+        for suite, n, trials in SWEEP
+    )
 )
 
 

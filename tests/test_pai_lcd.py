@@ -154,7 +154,7 @@ def test_pai_certificate():
     assert cert["pai_by_def"] and cert["pai_by_lcd"] and cert["agree"]
     assert cert["wt"] == 9 and len(cert["per_e_lcd_status"]) == 4
     assert cert["per_e_lcd_status"][0]["dim"] == 5
-    assert cert["modulus"] == "0x13"
+    assert "modulus" not in cert  # the CLI echoes the modulus it used
     bad = pai_certificate(BooleanFunction(4, 854))
     assert bad["pai_by_def"] and not bad["pai_by_lcd"] and not bad["agree"]
 
@@ -181,15 +181,14 @@ def _certificate_functions():
     for n, offsets in ((4, range(15)), (5, (0, 7, 30)), (8, (0, 3))):
         for field in _fields(n):
             for off in offsets:
-                yield function_from_columns(carlet_feng_support(n, off, field=field), field), [field]
+                yield function_from_columns(carlet_feng_support(n, off), field), [field]
 
 
 def test_pai_certificate_matches_punctured_rm():
-    # the truth-table route against the punctured Reed-Muller code on the field's point order
+    # one truth-table certificate against the punctured Reed-Muller code on each field's point order
     for f, fields in _certificate_functions():
+        cert = pai_certificate(f)
         for field in fields:
-            cert = pai_certificate(f, field)
-            assert cert["modulus"] == f"{field.modulus:#x}"
             sc = support_columns(f, field)
             for entry in cert["per_e_lcd_status"]:
                 code = _restricted_rm(entry["e"], f.n, sc, field)
