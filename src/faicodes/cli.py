@@ -8,6 +8,8 @@ clock goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -23,15 +25,11 @@ from .pai_lcd import (
     pai_certificate,
     support_columns,
 )
-from .sweeps import SUITES, SweepReport
+from .sweeps import SUITES
 
 
-class SystemExit2(Exception):
-    """Usage-level error: reported and mapped to exit code 2."""
-
-
-def _open_out(path: str | None) -> IO[str]:
-    return open(path, "w") if path else sys.stdout
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _field_for(n: int, modulus_hex: str | None) -> FieldGF2n:
@@ -49,37 +47,26 @@ def _emit(out: IO[str], record: dict, as_json: bool) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    f = parse_function(args.function)
-    if f.tt == 0:
-        raise SystemExit2("FAI is undefined for the zero function")
-    record = function_report(f)
-    out = _open_out(args.out)
-    try:
+    record = function_report(parse_function(args.function))
+    with _open_out(args.out) as out:
         _emit(out, record, args.json)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_rm(args: argparse.Namespace) -> int:
     if not 0 <= args.d <= args.n <= 12:
-        raise SystemExit2(f"need 0 <= d <= n <= 12, got d={args.d} n={args.n}")
+        raise ValueError(f"need 0 <= d <= n <= 12, got d={args.d} n={args.n}")
     field = _field_for(args.n, args.modulus)
     code = rm(args.d, args.n, field)
     if args.punctured_by is not None:
         f = parse_function(args.punctured_by)
         if f.n != args.n:
-            raise SystemExit2("--punctured-by function has a different variable count")
+            raise ValueError("--punctured-by function has a different variable count")
         sc = support_columns(f, field)
         code = puncture(code, sc.complement())
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"# modulus {field.modulus:#x}\n")
         out.write(export_code(code))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -94,55 +81,47 @@ def cmd_lcd_check(args: argparse.Namespace) -> int:
         "self_orthogonal": is_self_orthogonal(code),
         "even_like": is_even_like(code),
     }
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         _emit(out, record, args.json)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
+def _modulus_echo(n: int, modulus_hex: str | None) -> dict:
+    """The certificate's modulus key; none at n = 1, below the field module's 2..16 range."""
+    if n == 1 and modulus_hex is None:
+        return {}
+    return {"modulus": f"{_field_for(n, modulus_hex).modulus:#x}"}
+
+
 def cmd_pai_verify(args: argparse.Namespace) -> int:
-    out = _open_out(args.out)
-    status = 0
-    try:
-        if args.search is not None:
-            n = args.search
-            if n > 4:
-                raise SystemExit2("exhaustive search supports n <= 4; use carlet-feng for n = 5")
-            modulus = f"{_field_for(n, args.modulus).modulus:#x}"
-            found = 0
-            for tt in range(1, 1 << (1 << n)):
-                cert = pai_certificate(BooleanFunction(n, tt))
-                cert["modulus"] = modulus
-                if cert["pai_by_def"]:
-                    found += 1
-                    _emit(out, cert, args.json)
-            if not args.json:
-                out.write(f"# {found} PAI functions at n={n}\n")
-        else:
-            f = parse_function(args.function)
-            if f.tt == 0:
-                raise SystemExit2("FAI is undefined for the zero function")
-            field = _field_for(f.n, args.modulus)
-            cert = pai_certificate(f)
-            cert["modulus"] = f"{field.modulus:#x}"
+    if args.search is None:
+        f = parse_function(args.function)
+        echo = _modulus_echo(f.n, args.modulus)
+        cert = pai_certificate(f) | echo
+        with _open_out(args.out) as out:
             _emit(out, cert, args.json)
-            if not cert["agree"]:
-                status = 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return status
+        return 0 if cert["agree"] else 1
+    n = args.search
+    if n > 4:
+        raise ValueError("exhaustive search supports n <= 4; use carlet-feng for n = 5")
+    echo = _modulus_echo(n, args.modulus)
+    with _open_out(args.out) as out:
+        found = 0
+        for tt in range(1, 1 << (1 << n)):
+            cert = pai_certificate(BooleanFunction(n, tt))
+            if cert["pai_by_def"]:
+                found += 1
+                _emit(out, cert | echo, args.json)
+        if not args.json:
+            out.write(f"# {found} PAI functions at n={n}\n")
+    return 0
 
 
 def cmd_carlet_feng(args: argparse.Namespace) -> int:
     field = _field_for(args.n, args.modulus)
     offsets = range((1 << args.n) - 1) if args.all_offsets else [args.offset]
-    out = _open_out(args.out)
     status = 0
-    try:
+    with _open_out(args.out) as out:
         for off in offsets:
             sc = carlet_feng_support(args.n, off, args.count)
             cert = pai_certificate(function_from_columns(sc, field))
@@ -152,30 +131,19 @@ def cmd_carlet_feng(args: argparse.Namespace) -> int:
             _emit(out, cert, args.json)
             if not cert["pai_by_def"]:
                 status = 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return status
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
-        raise SystemExit2(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}")
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}")
+    if args.trials < 0:
+        raise ValueError(f"trial count {args.trials} is negative (0 asks for the exhaustive variant)")
     t0 = time.time()
-    report: SweepReport = SUITES[args.suite](args.n, args.trials, args.seed)
-    out = _open_out(args.out)
-    try:
+    report = SUITES[args.suite](args.n, args.trials, args.seed)
+    with _open_out(args.out) as out:
         if args.json:
-            record = {
-                "suite": report.suite,
-                "n": report.n,
-                "trials": report.trials,
-                "seed": report.seed,
-                "checks": report.checks,
-                "failures": report.failures,
-                "notes": report.notes,
-            }
-            out.write(json.dumps(record, sort_keys=True) + "\n")
+            out.write(json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n")
         else:
             out.write(f"suite {report.suite} n={report.n} trials={report.trials} seed={report.seed}\n")
             for note in report.notes:
@@ -183,9 +151,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for failure in report.failures:
                 out.write(f"FAIL {failure}\n")
             out.write(f"checks: {report.checks}  failures: {len(report.failures)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -258,9 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("pai-verify needs a function spec or --search")
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

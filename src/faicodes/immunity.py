@@ -111,18 +111,20 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
     """A nonzero g with deg(g) <= e and f*g = 0, verified, or None.
 
     The columns f*m, monomials in degree order, go into one XOR basis as in
-    lda.  The first dependent column is a unique combination of the earlier
-    ones, which are independent; that combination plus its own monomial is
-    the annihilator the kernel of the evaluation matrix yields first.
+    lda, column i tagged 1 << i below its data bits.  While the columns are
+    independent every row leads in its data bits.  The first dependent one
+    loses them all and lands in slots[i]: its tag bits are the unique
+    combination of the earlier columns plus its own monomial, the
+    annihilator the kernel of the evaluation matrix yields first.
     """
     n = f.n
-    slots = [0] * (1 << n)
     monos = [m for level in monomials_by_degree(n)[: min(e, n) + 1] for m in level]
-    cols = [f.tt & monomial_tt(m, n) for m in monos]
-    for i, col in enumerate(cols):
-        if not insert(slots, col):
-            combo = solve_preimage(BitMatrix.from_rows(cols[:i], 1 << n), col)
-            g = Anf(n, monomial_sum(combo, monos) ^ 1 << monos[i])
+    width = len(monos)
+    slots = [0] * ((1 << n) + width)
+    for i, m in enumerate(monos):
+        insert(slots, (f.tt & monomial_tt(m, n)) << width | 1 << i)
+        if slots[i]:
+            g = Anf(n, monomial_sum(slots[i], monos))
             if f.tt & mobius(g.coeffs, n):
                 raise AssertionError("annihilator witness failed the product check")
             return g
@@ -273,13 +275,18 @@ def _admissible_mu(
 
 
 class _Layer(NamedTuple):
-    """The product basis of f once every monomial of degree <= k is in."""
+    """The product basis of f once every monomial of degree <= k is in.
+
+    rank is the dimension of the products' span only on an unfloored pass: a
+    floored pass stops inserting once it settles at the floor.
+    """
 
     k: int
     mu: int | None  # mu_k(f)
     mu_adm: int | None  # mu'_k: the minimum over g not in {0, 1}
     row: int | None  # a permuted basis row of degree mu'_k; None when that product is f
     lda: int | None  # lda(f) when it is <= k, else None
+    rank: int  # rows in the basis
 
 
 def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
@@ -318,7 +325,7 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
             if not (full and layer is not None and layer.lda == lda_f):
                 rows = basis.rows_by_degree()
                 mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
-                layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f)
+                layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f, basis.rank)
                 if floor is not None:
                     if layer.mu < floor:
                         raise AssertionError("a product of f has degree below lda(1+f)")

@@ -7,7 +7,9 @@ and perfect algebraic immunity as LCD-ness of every punctured order.
 
 The PAI certificate reads every order from truth-table coordinates: the
 rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and Massey's
-criterion gives hull = rank(G) - rank(G G^T) for any spanning set G.  The
+criterion gives hull = rank(G) - rank(G G^T) for any spanning set G.  One
+product pass of the immunity engine gives both FAI and the rank of the
+rows f*m at every order, so the certificate builds no basis of its own.  The
 Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
 superset-parity transform of f.  Length, dimension and hull do not change
 when columns are permuted, so the verdicts take no GF(2^n) point order;
@@ -39,9 +41,9 @@ from .codes import (
     rm,
     zero_code,
 )
-from .f2linalg import BitMatrix, insert, rank, row_space_meet_dim
+from .f2linalg import BitMatrix, rank, row_space_meet_dim
 from .gf2m import FieldGF2n
-from .immunity import fai
+from .immunity import _best_layer, _layers, fai
 
 
 @dataclass(frozen=True)
@@ -172,23 +174,30 @@ def pai_certificate(f: BooleanFunction) -> dict:
     Gamma(u, v) = F[u|v], where F[w] is the parity of supp(f) above w.  A
     column permutation changes none of the three, so the certificate is
     the same on every GF(2^n) point order and names no modulus.
-    Once the rank reaches wt(f), the code is all of GF(2)^wt(f), whose dual
-    is zero: every later order keeps that dimension and the zero hull.
+    One unfloored product pass (`immunity._layers`) gives both the FAI
+    value, the least k + mu'_k as in `ffai`, and each order's dimension,
+    the rank of layer e: the Moebius transform maps the rows f*m_u to the
+    products' ANFs bijectively.  Once the rank reaches wt(f), the code is
+    all of GF(2)^wt(f), whose dual is zero: every later order keeps that
+    dimension and the zero hull.
     """
+    if f.tt == 0:
+        raise ValueError("FAI is undefined for the zero function")
     n = f.n
     size = 1 << n
     wt = f.tt.bit_count()
+    layers = list(_layers(f))
     high = high_degree_masks(n)
     gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v]
     monos = [0]
-    slots = [0] * size  # XOR basis of the rows f*m_u so far, one list across the orders
-    dim = int(insert(slots, f.tt))
+    dim = 1  # the rank of f alone
     hull = 0
     per_e = []
-    for e, level in enumerate(monomials_by_degree(n)[1:], start=1):
+    for layer, level in zip(layers, monomials_by_degree(n)[1:]):
+        e = layer.k
         if dim < wt:
+            dim = layer.rank
             for u in level:
-                dim += insert(slots, f.tt & monomial_tt(u, n))
                 monos.append(u)
                 low = u & -u  # row u at v is row u - low at v|low: copy those columns down
                 prev = gamma[u ^ low] & monomial_tt(low, n)
@@ -196,7 +205,8 @@ def pai_certificate(f: BooleanFunction) -> dict:
             low_cols = ~high[e]
             hull = dim - rank(BitMatrix.from_rows((gamma[u] & low_cols for u in monos), size))
         per_e.append({"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0})
-    value = fai(f).value
+    best = _best_layer(layers)
+    value = best.k + best.mu_adm
     by_def = value >= n
     by_lcd = all(entry["lcd"] for entry in per_e)
     return {

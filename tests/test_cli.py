@@ -82,6 +82,17 @@ def test_pai_verify_disagreement_exit_code(capsys):
     assert rec["pai_by_def"] and not rec["pai_by_lcd"]
 
 
+@pytest.mark.parametrize("argv", [("1:2",), ("--search", "1")], ids=["function", "search"])
+def test_pai_verify_n1_has_no_modulus(argv, capsys):
+    code, out, _ = run(capsys, "pai-verify", *argv, "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(r["n"] == 1 and r["fai"] == 2 and "modulus" not in r for r in records)
+    code, _, err = run(capsys, "pai-verify", *argv, "--modulus", "3")
+    assert code == 2
+    assert "extension degree 1" in err
+
+
 def test_pai_verify_search_n3(capsys):
     code, out, _ = run(capsys, "pai-verify", "--search", "3", "--json")
     assert code == 0
@@ -143,6 +154,12 @@ def test_sweep_unknown_suite(capsys):
     code, _, err = run(capsys, "sweep", "nope", "4", "5")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_sweep_negative_trials(capsys):
+    code, out, err = run(capsys, "sweep", "fai-bounds", "4", "-3")
+    assert code == 2
+    assert out == "" and "negative" in err
 
 
 def test_pai_verify_requires_argument(capsys):

@@ -11,6 +11,7 @@ from faicodes.boolfun import (
     complement,
     delta,
     high_degree_masks,
+    monomial_sum,
     monomial_tt,
     monomials_by_degree,
     multiply,
@@ -18,7 +19,7 @@ from faicodes.boolfun import (
     random_nonconstant,
     tt_of,
 )
-from faicodes.f2linalg import BitMatrix, kernel_basis, row_space_meet_dim
+from faicodes.f2linalg import BitMatrix, insert, kernel_basis, rank, row_space_meet_dim, solve_preimage
 import faicodes.immunity as immunity
 from faicodes.immunity import (
     ImmunityProfile,
@@ -508,8 +509,20 @@ def _first_annihilator(f, e):
     return None
 
 
+def _annihilator_by_solve(f, e):
+    """Reference: the first dependent column f*m_i, solved over the earlier columns by Gauss-Jordan."""
+    n = f.n
+    monos = [m for level in monomials_by_degree(n)[: e + 1] for m in level]
+    cols = [f.tt & monomial_tt(m, n) for m in monos]
+    slots = [0] * (1 << n)
+    for i, col in enumerate(cols):
+        if not insert(slots, col):
+            return monomial_sum(solve_preimage(BitMatrix.from_rows(cols[:i], 1 << n), col), monos) ^ 1 << monos[i]
+    return None
+
+
 def test_lda_matches_tagged_column_route():
-    # lda and annihilator_witness against the tagged column route, at every order e
+    # lda and annihilator_witness against the tagged column route and the solve route, at every order e
     rng = random.Random(22)
     seeded = []
     for i in range(200):
@@ -521,6 +534,17 @@ def test_lda_matches_tagged_column_route():
     for f in [*_functions(3, (), 0, seed=0), *seeded]:
         for e in range(f.n + 1):
             hit = _first_annihilator(f, e)
-            got = annihilator_witness(f, e)
-            assert (None if got is None else got.coeffs) == (None if hit is None else hit[1]), (f, e)
+            got = None if (g := annihilator_witness(f, e)) is None else g.coeffs
+            assert got == (None if hit is None else hit[1]) == _annihilator_by_solve(f, e), (f, e)
         assert lda(f) == (None if hit is None else hit[0]), f  # hit at e = n
+
+
+def test_unfloored_layer_rank_is_truth_table_rank():
+    # each layer's rank against the rank of the truth-table rows f*m, deg m <= k
+    for f in _functions(2, range(3, 9), 6, seed=24):
+        if f.tt == 0:
+            continue
+        n = f.n
+        for layer in _layers(f):
+            rows = [f.tt & monomial_tt(u, n) for level in monomials_by_degree(n)[: layer.k + 1] for u in level]
+            assert layer.rank == rank(BitMatrix.from_rows(rows, 1 << n)), (f, layer.k)

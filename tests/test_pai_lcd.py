@@ -157,6 +157,8 @@ def test_pai_certificate():
     assert "modulus" not in cert  # the CLI echoes the modulus it used
     bad = pai_certificate(BooleanFunction(4, 854))
     assert bad["pai_by_def"] and not bad["pai_by_lcd"] and not bad["agree"]
+    with pytest.raises(ValueError, match="zero function"):
+        pai_certificate(BooleanFunction(4, 0))
 
 
 def _fields(n):
@@ -188,6 +190,7 @@ def test_pai_certificate_matches_punctured_rm():
     # one truth-table certificate against the punctured Reed-Muller code on each field's point order
     for f, fields in _certificate_functions():
         cert = pai_certificate(f)
+        assert cert["fai"] == fai(f).value, cert["tt"]  # the witness-verified route
         for field in fields:
             sc = support_columns(f, field)
             for entry in cert["per_e_lcd_status"]:
