@@ -119,7 +119,7 @@ def cmd_pai_verify(args: argparse.Namespace) -> int:
 
 def cmd_carlet_feng(args: argparse.Namespace) -> int:
     field = _field_for(args.n, args.modulus)
-    offsets = range((1 << args.n) - 1) if args.all_offsets else [args.offset]
+    offsets = range((1 << args.n) - 1) if args.all_offsets else [args.offset or 0]
     status = 0
     with _open_out(args.out) as out:
         for off in offsets:
@@ -192,16 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lcd_check)
 
     p = sub.add_parser("pai-verify", help="PAI certificate for a function or a full search")
-    p.add_argument("function", nargs="?", help="function spec")
-    p.add_argument("--search", type=int, help="exhaustive search over all functions of n variables")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("function", nargs="?", help="function spec")
+    target.add_argument("--search", type=int, help="exhaustive search over all functions of n variables")
     common(p, "--json", "--out", "--modulus")
     p.set_defaults(func=cmd_pai_verify)
 
     p = sub.add_parser("carlet-feng", help="consecutive-power support candidates and verdicts")
     p.add_argument("n", type=int)
-    p.add_argument("--offset", type=int, default=0, help="first exponent of alpha")
     p.add_argument("--count", type=int, help="number of consecutive powers (default 2^(n-1))")
-    p.add_argument("--all-offsets", action="store_true")
+    # default None, not 0: argparse lets a value equal to the default pass as absent
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--offset", type=int, help="first exponent of alpha (default 0)")
+    which.add_argument("--all-offsets", action="store_true")
     common(p, "--json", "--out", "--modulus")
     p.set_defaults(func=cmd_carlet_feng)
 
@@ -219,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pai-verify" and args.function is None and args.search is None:
-        parser.error("pai-verify needs a function spec or --search")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

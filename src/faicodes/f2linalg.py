@@ -9,11 +9,15 @@ Every elimination in the library runs through one of two kernels:
   order, and returns the pivot columns.  Each pivot is the first remaining
   row with that bit; the i-th ends in work[i], its column clear in every
   other row, so the rows past the pivots vanish on cols.  Bits outside cols
-  ride along as a combination tag.  Callers: `rref` (the canonical
-  lowest-pivot form that codes print), `solve_preimage`, `codes.shorten`.
-- `insert(slots, row)` reduces a row into a highest-pivot XOR basis
-  (slots[c] holds the row led by bit c) and keeps it, returning True, when
-  it is independent.  Callers: `rank` and every incremental basis.
+  ride along as a combination tag.  A column that no remaining row touches
+  is skipped without a search.  Callers: `rref` (the canonical lowest-pivot
+  form that codes print), `solve_preimage`, `codes.shorten`.
+- `insert(slots, row)` reduces a row into a highest-pivot XOR basis and
+  keeps it, returning True, when it is independent.  The slots are indexed
+  by `row.bit_length()`: slots[c + 1] holds the row led by bit c, and
+  slots[0] is a zero sentinel that ends the reduction of a dependent row,
+  so a basis for rows of width w needs w + 1 slots.  Callers: `rank` and
+  every incremental basis.
 """
 
 from __future__ import annotations
@@ -61,15 +65,28 @@ class BitMatrix:
 
 
 def _gauss_jordan(work: list[int], cols: Iterable[int]) -> list[int]:
-    """Gauss-Jordan elimination in place over cols, in order; returns the pivot columns."""
+    """Gauss-Jordan elimination in place over cols, in order; returns the pivot columns.
+
+    live covers every row past the pivots: it starts as the OR of all rows,
+    and a row operation never sets a bit outside it.  It is recomputed over
+    those rows only when a pivot search misses.
+    """
     pivots: list[int] = []
+    live = 0
+    for r in work:
+        live |= r
     for col in cols:
         row = len(pivots)
         if row == len(work):
             break
         bit = 1 << col
+        if not live & bit:
+            continue
         pivot = next((r for r in range(row, len(work)) if work[r] & bit), None)
         if pivot is None:
+            live = 0
+            for r in work[row:]:
+                live |= r
             continue
         work[row], work[pivot] = work[pivot], work[row]
         prow = work[row]
@@ -90,22 +107,19 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
 def insert(slots: list[int], row: int) -> bool:
     """Reduce row into a highest-bit XOR basis; keep it and return True if independent.
 
-    slots[c] holds the basis row whose leading bit is c, or 0 when there is
-    none, so the list must be at least as long as the rows are wide.
+    slots[c + 1] holds the basis row whose leading bit is c, or 0 when there
+    is none, and slots[0] stays 0, so the list must be one longer than the
+    rows are wide.  A dependent row reduces to 0 and stops at the sentinel.
     """
-    while row:
-        lead = row.bit_length() - 1
-        other = slots[lead]
-        if not other:
-            slots[lead] = row
-            return True
+    while other := slots[lead := row.bit_length()]:
         row ^= other
-    return False
+    slots[lead] = row
+    return lead > 0
 
 
 def rank(m: BitMatrix) -> int:
     """Row rank over GF(2)."""
-    slots = [0] * m.cols
+    slots = [0] * (m.cols + 1)
     found = 0
     for row in m.data:
         if insert(slots, row):

@@ -86,7 +86,7 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
     returned without inserting it.  None when no column depends.
     """
     lightest = min(tt.bit_count() for tt in tts)
-    bases = [(tt, [0] * (1 << n)) for tt in tts]
+    bases = [(tt, [0] * ((1 << n) + 1)) for tt in tts]
     count = 0
     for d, level in enumerate(monomials_by_degree(n)):
         count += len(level)
@@ -113,18 +113,19 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
     The columns f*m, monomials in degree order, go into one XOR basis as in
     lda, column i tagged 1 << i below its data bits.  While the columns are
     independent every row leads in its data bits.  The first dependent one
-    loses them all and lands in slots[i]: its tag bits are the unique
-    combination of the earlier columns plus its own monomial, the
-    annihilator the kernel of the evaluation matrix yields first.
+    loses them all and, led by its own tag, lands in slots[i + 1]: its tag
+    bits are the unique combination of the earlier columns plus its own
+    monomial, the annihilator the kernel of the evaluation matrix yields
+    first.
     """
     n = f.n
     monos = [m for level in monomials_by_degree(n)[: min(e, n) + 1] for m in level]
     width = len(monos)
-    slots = [0] * ((1 << n) + width)
+    slots = [0] * ((1 << n) + width + 1)
     for i, m in enumerate(monos):
         insert(slots, (f.tt & monomial_tt(m, n)) << width | 1 << i)
-        if slots[i]:
-            g = Anf(n, monomial_sum(slots[i], monos))
+        if slots[i + 1]:
+            g = Anf(n, monomial_sum(slots[i + 1], monos))
             if f.tt & mobius(g.coeffs, n):
                 raise AssertionError("annihilator witness failed the product check")
             return g
@@ -238,13 +239,14 @@ def _degree_order(n: int) -> _DegreeOrder:
 class _DegreeBasis:
     """Incremental XOR basis over degree-ordered ANF coordinates.
 
-    slots[p] holds the basis row whose leading bit is p (0 when none), so
-    reading the slots in order lists the rows by degree.
+    slots[p + 1] holds the basis row whose leading bit is p (0 when none),
+    after the zero sentinel slots[0] that `insert` needs, so reading the
+    slots in order lists the rows by degree.
     """
 
     def __init__(self, n: int) -> None:
         self.order = _degree_order(n)
-        self.slots = [0] * (1 << n)
+        self.slots = [0] * ((1 << n) + 1)
         self.rank = 0
 
     def insert_anf(self, coeffs: int) -> bool:
@@ -257,7 +259,7 @@ class _DegreeBasis:
     def rows_by_degree(self) -> list[tuple[int, int]]:
         """(degree, permuted row) pairs sorted by degree."""
         deg_at = self.order.deg_at
-        return [(deg_at[lead], row) for lead, row in enumerate(self.slots) if row]
+        return [(deg_at[p - 1], row) for p, row in enumerate(self.slots) if row]
 
 
 def _admissible_mu(

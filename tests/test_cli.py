@@ -113,7 +113,7 @@ def test_carlet_feng_modulus_override(capsys):
     code, out, _ = run(capsys, "carlet-feng", "3", "--json", "--modulus", "D")
     assert code == 0
     rec = json.loads(out)
-    assert rec["modulus"] == "0xd"
+    assert rec["modulus"] == "0xd" and rec["offset"] == 0  # no --offset: offset 0
     assert rec["pai_by_def"]
 
 
@@ -133,6 +133,25 @@ def test_unread_flags_are_usage_errors(argv, capsys):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pai-verify", "3:E8", "--search", "3"),
+        ("pai-verify", "--search", "3", "3:E8"),
+        ("carlet-feng", "5", "--offset", "7", "--all-offsets"),
+        ("carlet-feng", "5", "--all-offsets", "--offset", "0"),
+    ],
+    ids=["spec-then-search", "search-then-spec", "offset-all-offsets", "all-offsets-offset-0"],
+)
+def test_conflicting_inputs_are_usage_errors(argv, capsys):
+    # one input would be dropped without a word: refuse both before any work
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
 
 
 def test_sweep_pass_and_determinism(capsys):

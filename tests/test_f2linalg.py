@@ -4,6 +4,7 @@ import pytest
 
 from faicodes.f2linalg import (
     BitMatrix,
+    _gauss_jordan,
     from_text,
     gram,
     insert,
@@ -62,20 +63,102 @@ def test_rank_degenerate_shapes():
 
 
 def test_insert_degenerate_and_slot_layout():
-    slots = []
-    assert insert(slots, 0) is False and slots == []  # no columns: only the zero row
     slots = [0]
-    assert insert(slots, 1) is True and slots == [1]
+    assert insert(slots, 0) is False and slots == [0]  # no columns: only the zero row
+    slots = [0, 0]
+    assert insert(slots, 1) is True and slots == [0, 1]
     assert insert(slots, 1) is False and insert(slots, 0) is False
-    assert slots == [1]
+    assert slots == [0, 1]
     rng = random.Random(0xB1)
     for _ in range(100):
         cols = rng.randrange(1, 12)
         rows = [rng.getrandbits(cols) for _ in range(rng.randrange(0, 14))]
-        slots = [0] * cols
+        slots = [0] * (cols + 1)
         kept = sum(insert(slots, row) for row in rows)
         assert kept == rank(BitMatrix.from_rows(rows, cols)) == sum(1 for r in slots if r)
-        assert all(r == 0 or r.bit_length() - 1 == c for c, r in enumerate(slots))
+        assert slots[0] == 0
+        assert all(r == 0 or r.bit_length() - 1 == c for c, r in enumerate(slots[1:]))
+
+
+def _insert_reference(slots, row):
+    """The earlier loop: slots[c] holds the row led by bit c, no sentinel."""
+    while row:
+        lead = row.bit_length() - 1
+        other = slots[lead]
+        if not other:
+            slots[lead] = row
+            return True
+        row ^= other
+    return False
+
+
+def test_insert_matches_reference_loop():
+    # same verdicts and the same basis rows, one slot over; the sentinel stays 0
+    rng = random.Random(0x1A)
+    seen = {"zero": 0, "dependent": 0, "kept": 0}
+    for _ in range(300):
+        cols = rng.randrange(0, 70)
+        slots, ref = [0] * (cols + 1), [0] * cols
+        rows = []
+        for _ in range(rng.randrange(0, 2 * cols + 3)):
+            pick = rng.random()
+            if pick < 0.1 or not cols:
+                row = 0
+            elif pick < 0.3 and rows:  # a combination of earlier rows
+                row = 0
+                for r in rng.sample(rows, rng.randrange(1, len(rows) + 1)):
+                    row ^= r
+            else:
+                row = rng.getrandbits(cols) >> rng.randrange(cols)  # varied leads
+            rows.append(row)
+            got = insert(slots, row)
+            assert got is _insert_reference(ref, row), (cols, rows)
+            assert slots[0] == 0 and slots[1:] == ref, (cols, rows)
+            seen["kept" if got else "zero" if row == 0 else "dependent"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def _gauss_jordan_reference(work, cols):
+    """The earlier loop: a pivot search at every column."""
+    pivots = []
+    for col in cols:
+        row = len(pivots)
+        if row == len(work):
+            break
+        bit = 1 << col
+        pivot = next((r for r in range(row, len(work)) if work[r] & bit), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        prow = work[row]
+        for r in range(len(work)):
+            if r != row and work[r] & bit:
+                work[r] ^= prow
+        pivots.append(col)
+    return pivots
+
+
+def test_gauss_jordan_matches_reference_loop():
+    # identical pivots and work, column skips included, on every shape its callers pass
+    rng = random.Random(0x6A)
+    # empty, zero-width, zero-row and tag-only matrices first
+    cases = [([], range(0)), ([], range(4)), ([0, 0, 0], range(0)), ([0, 0], range(5)), ([1 << 3, 1 << 4], range(3))]
+    for _ in range(600):
+        cols = rng.randrange(0, 24)
+        rows = [rng.getrandbits(cols) if cols else 0 for _ in range(rng.randrange(0, 20))]
+        for i in rng.sample(range(len(rows)), len(rows) // 4):  # zero rows and sparse rows
+            rows[i] &= (rng.getrandbits(cols) & rng.getrandbits(cols)) if rng.getrandbits(1) else 0
+        kind = rng.randrange(3)
+        if kind == 0:  # every column, as rref
+            cases.append((rows, range(cols)))
+        elif kind == 1:  # tagged rows, as solve_preimage
+            cases.append(([row | 1 << (cols + i) for i, row in enumerate(rows)], range(cols)))
+        else:  # a sorted column subset, as codes.shorten
+            cases.append((rows, sorted(rng.sample(range(cols), rng.randrange(0, cols + 1)))))
+    for rows, cols in cases:
+        work, ref = list(rows), list(rows)
+        assert _gauss_jordan(work, cols) == _gauss_jordan_reference(ref, cols), (rows, cols)
+        assert work == ref, (rows, cols)
 
 
 def test_kernel_identity_empty():
@@ -182,7 +265,7 @@ def test_solve_preimage_matches_reference_solution():
     assert min(seen.values()) > 50, seen
     # greedy insert keeps rows {0, 1, 3}; Gauss-Jordan's pivot rows are {1, 2, 3}
     m = BitMatrix.from_rows([0b110, 0b010, 0b100, 0b001], 3)
-    slots = [0] * 3
+    slots = [0] * 4
     assert [insert(slots, row) for row in m.data] == [True, True, False, True]
     assert solve_preimage(m, 0b111) == 0b1110
 

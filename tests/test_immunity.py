@@ -514,7 +514,7 @@ def _annihilator_by_solve(f, e):
     n = f.n
     monos = [m for level in monomials_by_degree(n)[: e + 1] for m in level]
     cols = [f.tt & monomial_tt(m, n) for m in monos]
-    slots = [0] * (1 << n)
+    slots = [0] * ((1 << n) + 1)
     for i, col in enumerate(cols):
         if not insert(slots, col):
             return monomial_sum(solve_preimage(BitMatrix.from_rows(cols[:i], 1 << n), col), monos) ^ 1 << monos[i]
