@@ -131,15 +131,6 @@ class BooleanFunction:
     def is_constant(self) -> bool:
         return self.tt == 0 or self.tt == (1 << self.size) - 1
 
-    def __add__(self, other: BooleanFunction) -> BooleanFunction:
-        return add(self, other)
-
-    def __mul__(self, other: BooleanFunction) -> BooleanFunction:
-        return multiply(self, other)
-
-    def __invert__(self) -> BooleanFunction:
-        return complement(self)
-
 
 @dataclass(frozen=True)
 class Anf:
@@ -156,9 +147,6 @@ class Anf:
 
     def degree(self) -> int:
         return anf_degree(self.coeffs, self.n)
-
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import time
 from typing import IO
 
 from .boolfun import BooleanFunction, parse_function
-from .codes import export_code, hull_dim, import_code, is_even_like, is_lcd, is_self_orthogonal, puncture, rm
+from .codes import export_code, hull_dim, import_code, is_even_like, is_self_orthogonal, puncture, rm
 from .gf2m import FieldGF2n, field_new, field_with_modulus
 from .immunity import function_report
 from .pai_lcd import (
@@ -73,11 +73,12 @@ def cmd_rm(args: argparse.Namespace) -> int:
 def cmd_lcd_check(args: argparse.Namespace) -> int:
     with open(args.matrix) as fh:
         code = import_code(fh.read())
+    hull = hull_dim(code)
     record = {
         "length": code.length,
         "dim": code.dim,
-        "hull": hull_dim(code),
-        "lcd": is_lcd(code),
+        "hull": hull,
+        "lcd": hull == 0,
         "self_orthogonal": is_self_orthogonal(code),
         "even_like": is_even_like(code),
     }
@@ -102,8 +103,9 @@ def cmd_pai_verify(args: argparse.Namespace) -> int:
             _emit(out, cert, args.json)
         return 0 if cert["agree"] else 1
     n = args.search
-    if n > 4:
-        raise ValueError("exhaustive search supports n <= 4; use carlet-feng for n = 5")
+    if not 1 <= n <= 4:
+        hint = "; use carlet-feng for n = 5" if n > 4 else ""
+        raise ValueError(f"exhaustive search supports 1 <= n <= 4 variables, got n = {n}{hint}")
     echo = _modulus_echo(n, args.modulus)
     with _open_out(args.out) as out:
         found = 0

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import f2linalg
-from .f2linalg import BitMatrix, _gauss_jordan, gram, rank, rref, solve_preimage
+from .f2linalg import BitMatrix, _gauss_jordan, gram, rank, rref
 from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus
 from .boolfun import monomials_by_degree
 
@@ -46,10 +46,6 @@ def code_from_rows(rows: Iterable[int], length: int) -> LinearCode:
 
 def zero_code(length: int) -> LinearCode:
     return LinearCode(length, BitMatrix.zeros(0, length))
-
-
-def full_code(length: int) -> LinearCode:
-    return LinearCode(length, BitMatrix.identity(length))
 
 
 @lru_cache(maxsize=None)
@@ -144,11 +140,6 @@ def is_even_like(c: LinearCode) -> bool:
     return all(row.bit_count() % 2 == 0 for row in c.gen.data)
 
 
-def contains(c: LinearCode, word: int) -> bool:
-    """Membership test: the word is a combination of the generator rows."""
-    return solve_preimage(c.gen, word) is not None
-
-
 def min_weight(c: LinearCode) -> int:
     """Exact minimum nonzero codeword weight.
 
@@ -192,7 +183,8 @@ def min_weight(c: LinearCode) -> int:
 
 def export_code(c: LinearCode) -> str:
     """Generator matrix text with a summary header line."""
-    header = f"# code length={c.length} dim={c.dim} lcd={is_lcd(c)} hull={hull_dim(c)}\n"
+    hull = hull_dim(c)
+    header = f"# code length={c.length} dim={c.dim} lcd={hull == 0} hull={hull}\n"
     return header + f2linalg.to_text(c.gen)
 
 

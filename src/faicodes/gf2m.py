@@ -1,4 +1,4 @@
-"""GF(2^n) arithmetic on log/antilog tables, 2 <= n <= 16.
+"""GF(2^n) as the powers of a primitive element, 2 <= n <= 16.
 
 Elements are ints in polynomial-basis coordinates: bit i is the coefficient
 of x^i.  The default modulus for each degree is the lexicographically
@@ -21,11 +21,6 @@ class FieldGF2n:
     n: int
     modulus: int            # degree-n polynomial, leading bit included
     exp: tuple[int, ...]    # exp[i] = alpha^i, length 2^n - 1
-    log: tuple[int, ...]    # log[exp[i]] = i; log[0] = -1 sentinel
-
-    @property
-    def order(self) -> int:
-        return (1 << self.n) - 1
 
 
 def _x_power_cycle(modulus: int, n: int) -> list[int] | None:
@@ -52,10 +47,7 @@ def _build(n: int, modulus: int) -> FieldGF2n:
     powers = _x_power_cycle(modulus, n)
     if powers is None:
         raise ValueError(f"polynomial {modulus:#x} is not primitive of degree {n}")
-    log = [-1] * (1 << n)
-    for i, v in enumerate(powers):
-        log[v] = i
-    return FieldGF2n(n, modulus, tuple(powers), tuple(log))
+    return FieldGF2n(n, modulus, tuple(powers))
 
 
 @lru_cache(maxsize=None)
@@ -76,17 +68,6 @@ def field_with_modulus(n: int, modulus: int) -> FieldGF2n:
     if modulus.bit_length() != n + 1:
         raise ValueError(f"modulus {modulus:#x} does not have degree {n}")
     return _build(n, modulus)
-
-
-def alpha_pow(field: FieldGF2n, j: int) -> int:
-    """alpha^j (j taken mod 2^n - 1)."""
-    return field.exp[j % field.order]
-
-
-def field_mul(field: FieldGF2n, a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return field.exp[(field.log[a] + field.log[b]) % field.order]
 
 
 def enumerate_points(field: FieldGF2n) -> tuple[int, ...]:

@@ -341,13 +341,6 @@ def _best_layer(layers: Iterable[_Layer]) -> _Layer:
     return min((lay for lay in layers if lay.mu_adm is not None), key=lambda lay: lay.k + lay.mu_adm)
 
 
-def mu(f: BooleanFunction, k: int) -> int | None:
-    """Minimum degree over the nonzero products f*g with deg(g) <= k; None if none."""
-    if not 1 <= k <= f.n:
-        raise ValueError(f"k = {k} out of range 1..{f.n}")
-    return next(layer.mu for layer in _layers(f) if layer.k == k)
-
-
 def profile(f: BooleanFunction) -> ImmunityProfile:
     return ImmunityProfile(f.n, tuple(layer.mu for layer in _layers(f)))
 
@@ -454,27 +447,22 @@ def is_pai(f: BooleanFunction) -> bool:
 # --- independent brute-force oracle -----------------------------------------
 
 
-def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
-    """Exhaustive FAI over all g with deg(g) <= min(cap, floor(n/2)).
+def fai_direct(f: BooleanFunction) -> int:
+    """Exhaustive FAI over all g with deg(g) <= max(1, floor(n/2)), for n <= 5.
 
-    The degree cap is sound because any optimal witness g has
+    The degree bound is sound because any optimal witness g has
     deg(g) <= floor(FAI/2) <= floor(n/2) (with a floor of 1 so the range is
-    never empty).  Vectorized over every coefficient choice, each product's
-    ANF built by linearity from those of the products f*m.
+    never empty); at n = 5 that leaves 2^16 choices of g.  Vectorized over
+    every coefficient choice, each product's ANF built by linearity from
+    those of the products f*m.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
     n = f.n
+    if n > 5:
+        raise ValueError("direct search supports n <= 5 (search-space guard)")
     eff = max(1, n // 2)
-    if cap is not None:
-        eff = min(max(1, cap), eff)
-    elif n > 5:
-        raise ValueError("supply a degree cap for n > 5 (search-space guard)")
-    if n > 6:
-        raise ValueError("direct search supports n <= 6 (64-bit truth tables)")
     monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
-    if len(monos) > 20:
-        raise ValueError(f"search space 2^{len(monos)} exceeds the enumeration guard")
 
     g_deg = _g_table(n, eff)
     # g -> anf(f*g) is linear: selector s = 2^t + r gives the ANF of r's product plus f*m_t's
@@ -489,7 +477,7 @@ def fai_direct(f: BooleanFunction, cap: int | None = None) -> int:
     valid[1] = False  # selector 1 picks only the constant monomial: g = 1
     totals = (g_deg + deg_p)[valid]
     if totals.size == 0:
-        raise AssertionError("no admissible g found; the degree cap argument fails")
+        raise AssertionError("no admissible g found; the degree bound argument fails")
     return int(totals.min())
 
 

@@ -13,9 +13,9 @@ rows f*m at every order, so the certificate builds no basis of its own.  The
 Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
 superset-parity transform of f.  Length, dimension and hull do not change
 when columns are permuted, so the verdicts take no GF(2^n) point order;
-only the column-facing helpers (`support_columns`, `function_from_columns`,
-`lcd_from_pai`) take one.  The punctured-RM route stays as the independent
-oracle (`is_pai_via_lcd`, `lcd_from_pai`), on the default point order.
+only `support_columns` and `function_from_columns` take one.  The
+punctured-RM route stays as the independent oracle (`is_pai_via_lcd`,
+`lcd_from_pai`), on the default point order.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def function_from_columns(sc: SupportColumns, field: FieldGF2n | None = None) ->
     return BooleanFunction(sc.n, tt)
 
 
-def _restricted_rm(e: int, n: int, sc: SupportColumns, field: FieldGF2n | None = None) -> LinearCode:
+def _restricted_rm(e: int, n: int, sc: SupportColumns) -> LinearCode:
     """RM(e, n) punctured at the complement of the support (restriction to it)."""
-    return puncture(rm(e, n, field), sc.complement())
+    return puncture(rm(e, n), sc.complement())
 
 
 def ai_exceeds_via_dims(f: BooleanFunction, e: int) -> bool:
@@ -122,7 +122,7 @@ def is_pai_via_lcd(f: BooleanFunction) -> bool:
     return all(is_lcd(_restricted_rm(e, f.n, sc)) for e in range(1, f.n + 1))
 
 
-def lcd_from_pai(f: BooleanFunction, e: int, field: FieldGF2n | None = None) -> LinearCode:
+def lcd_from_pai(f: BooleanFunction, e: int) -> LinearCode:
     """The LCD code RM(e, n) restricted to the support of a PAI function."""
     n = f.n
     if not 1 <= e <= (n - 1) // 2:
@@ -130,8 +130,7 @@ def lcd_from_pai(f: BooleanFunction, e: int, field: FieldGF2n | None = None) -> 
     value = fai(f).value
     if value < n:
         raise ValueError(f"not a perfect algebraic immune function: fai = {value} < {n}")
-    sc = support_columns(f, field)
-    code = _restricted_rm(e, n, sc, field)
+    code = _restricted_rm(e, n, support_columns(f))
     expected_dim = sum(len(level) for level in monomials_by_degree(n)[: e + 1])
     if not is_lcd(code) or code.dim != expected_dim or code.length != f.tt.bit_count():
         raise AssertionError("extracted code violates the LCD/dimension contract")

@@ -31,6 +31,7 @@ from .boolfun import (
     format_function,
     interpolate_low_degree,
     mobius,
+    monomial_sum,
     monomials_by_degree,
     multiply,
     random_affine_map,
@@ -59,7 +60,6 @@ from .immunity import (
     fai_direct,
     ffai,
     lda,
-    mu,
     mul_space_basis,
     profile,
 )
@@ -100,10 +100,6 @@ def _fmt(f: BooleanFunction) -> str:
 
 def _all_ones(n: int) -> int:
     return (1 << (1 << n)) - 1
-
-
-def mobius_tt(a: Anf) -> int:
-    return tt_of(a).tt
 
 
 # --- boolfun algebra --------------------------------------------------------
@@ -234,10 +230,11 @@ def _diverged_class_ok(f: BooleanFunction, bound: int) -> bool:
     lda_f = lda(f)
     deg_f = degree(f)
     anf_f = anf_of(f).coeffs
+    mus = profile(f).mu
     low_masks = [m for level in monomials_by_degree(f.n)[: deg_f + 1] for m in level]
     low_basis = BitMatrix.from_rows((1 << m for m in low_masks), 1 << f.n)
     for k in range(1, f.n + 1):
-        mk = mu(f, k)
+        mk = mus[k - 1]
         if mk is None or k + mk != bound:
             continue
         if mk != deg_f:
@@ -280,7 +277,7 @@ def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
         rep.check(w.total == v, "witness-total", _fmt(f))
         gw = tt_of(w.g)
         rep.check(gw.tt not in (0, _all_ones(n)), "witness-nonconstant", _fmt(f))
-        rep.check(multiply(f, gw).tt == mobius_tt(w.product), "witness-product", _fmt(f))
+        rep.check(multiply(f, gw).tt == tt_of(w.product).tt, "witness-product", _fmt(f))
         if weight(f) >= 2:
             rep.check(v <= n, "fai-le-n", _fmt(f))
         else:
@@ -314,9 +311,7 @@ def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
 # --- affine invariance ------------------------------------------------------
 
 
-def sweep_affine_invariance(
-    n: int, trials: int, seed: int, maps_per_function: int = 100
-) -> SweepReport:
+def sweep_affine_invariance(n: int, trials: int, seed: int) -> SweepReport:
     rep = SweepReport("affine-invariance", n, trials, seed)
     rng = random.Random(seed)
     for _ in range(trials):
@@ -324,7 +319,7 @@ def sweep_affine_invariance(
         base_profile = profile(f).mu
         base_fai = fai(f).value
         base_ai = ai(f)
-        for _ in range(maps_per_function):
+        for _ in range(100):  # maps per function
             m = random_affine_map(n, rng)
             g = apply_affine(f, m)
             rep.check(weight(g) == weight(f), "affine-weight", _fmt(f))
@@ -348,6 +343,8 @@ def _random_low_weight(n: int, max_weight: int, rng: random.Random) -> BooleanFu
 
 
 def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
+    if n < 2:
+        raise ValueError("approximation sweep needs n >= 2")
     rep = SweepReport("approximation", n, trials, seed)
     rng = random.Random(seed)
     linear_tts = _nonzero_linear_tts(n)
@@ -391,7 +388,7 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
         # lemma-util: some linear form keeps the witness product nonzero
         if f.tt != 1:
             w = fai(f).witness
-            g_tt = mobius_tt(w.g)
+            g_tt = tt_of(w.g).tt
             prod = f.tt & g_tt
             rep.check(
                 any(prod & l for l in linear_tts),
@@ -407,7 +404,7 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
         h = interpolate_low_degree(zeros, one, d_i, n)
         rep.check(h is not None, "interpolation-exists", f"zeros={sorted(zeros)} one={one} d={d_i}")
         if h is not None:
-            h_tt = mobius_tt(h)
+            h_tt = tt_of(h).tt
             ok = (
                 h.degree() <= d_i
                 and (h_tt >> one) & 1 == 1
@@ -536,11 +533,7 @@ def _low_degree_tts(n: int, e: int) -> Iterator[int]:
     """Truth tables of every nonzero g with deg(g) <= e, by brute ANF selection."""
     monos = [m for level in monomials_by_degree(n)[: e + 1] for m in level]
     for sel in range(1, 1 << len(monos)):
-        anf = 0
-        for t in range(len(monos)):
-            if (sel >> t) & 1:
-                anf ^= 1 << monos[t]
-        yield mobius(anf, n)
+        yield mobius(monomial_sum(sel, monos), n)
 
 
 def _brute_ai_table_n4() -> np.ndarray:
@@ -615,6 +608,8 @@ def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
 
 
 def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
+    if n < 2:
+        raise ValueError("pai-equivalence sweep needs n >= 2")
     rep = SweepReport("pai-equivalence", n, trials, seed)
     rng = random.Random(seed)
     for _ in range(trials):

@@ -92,7 +92,7 @@ def test_ac5_affine_invariance():
     t0 = time.time()
     failures = []
     for n in (4, 5):
-        rep = sweep_affine_invariance(n, 100, seed=500 + n, maps_per_function=100)
+        rep = sweep_affine_invariance(n, 100, seed=500 + n)
         failures += rep.failures
     _finish("AC-5", "fai and profile invariant under 100 affine maps x 100 functions, n in {4,5}",
             failures, time.time() - t0, 300.0)

@@ -93,6 +93,15 @@ def test_pai_verify_n1_has_no_modulus(argv, capsys):
     assert "extension degree 1" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "5"])
+def test_pai_verify_search_range(n, capsys):
+    # checked before any field is built, so the error names the variable range
+    code, out, err = run(capsys, "pai-verify", "--search", n)
+    assert code == 2
+    assert out == "" and "1 <= n <= 4 variables" in err and "extension degree" not in err
+    assert ("carlet-feng" in err) == (n == "5")
+
+
 def test_pai_verify_search_n3(capsys):
     code, out, _ = run(capsys, "pai-verify", "--search", "3", "--json")
     assert code == 0
@@ -179,6 +188,13 @@ def test_sweep_negative_trials(capsys):
     code, out, err = run(capsys, "sweep", "fai-bounds", "4", "-3")
     assert code == 2
     assert out == "" and "negative" in err
+
+
+@pytest.mark.parametrize("suite", ["approximation", "pai-equivalence", "concatenation"])
+def test_sweep_n1_is_refused_up_front(suite, capsys):
+    code, out, err = run(capsys, "sweep", suite, "1", "3")
+    assert code == 2
+    assert out == "" and f"{suite} sweep needs n >= 2" in err
 
 
 def test_pai_verify_requires_argument(capsys):

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from faicodes.boolfun import BooleanFunction, degree, parse_function, random_nonconstant
-from faicodes.codes import hull_dim, is_lcd
-from faicodes.gf2m import alpha_pow, field_new, field_with_modulus
+from faicodes.codes import hull_dim, is_lcd, puncture, rm
+from faicodes.gf2m import field_new, field_with_modulus
 from faicodes.immunity import ai, fai
 from faicodes.pai_lcd import (
     SupportColumns,
-    _restricted_rm,
     ai_exceeds_via_dims,
     carlet_feng_support,
     fai_at_least_via_codes,
@@ -30,7 +29,7 @@ def test_support_columns_examples():
     assert support_columns(all_ones(3)).cols == frozenset(range(8))
     assert support_columns(BooleanFunction(3, 1)).cols == frozenset({0})
     f = field_new(3)
-    ind = BooleanFunction(3, 1 << alpha_pow(f, 0))
+    ind = BooleanFunction(3, 1 << f.exp[0])
     assert support_columns(ind).cols == frozenset({1})
     assert len(support_columns(MAJ3).cols) == 4
 
@@ -194,7 +193,7 @@ def test_pai_certificate_matches_punctured_rm():
         for field in fields:
             sc = support_columns(f, field)
             for entry in cert["per_e_lcd_status"]:
-                code = _restricted_rm(entry["e"], f.n, sc, field)
+                code = puncture(rm(entry["e"], f.n, field), sc.complement())
                 got = (entry["length"], entry["dim"], entry["hull"], entry["lcd"])
                 assert got == (code.length, code.dim, hull_dim(code), is_lcd(code)), (cert["tt"], field.modulus)
 
