@@ -76,6 +76,12 @@ def monomials_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(lv) for lv in levels)
 
 
+@lru_cache(maxsize=None)
+def monomials_upto(n: int, d: int) -> tuple[int, ...]:
+    """The masks of degree <= d in degree order, then by mask; () when d < 0."""
+    return tuple(m for level in monomials_by_degree(n)[: max(d + 1, 0)] for m in level)
+
+
 def monomial_sum(selection: int, monos: Sequence[int]) -> int:
     """ANF of the sum of monos[i] over the set bits i of selection (a solve's combination)."""
     coeffs = 0
@@ -98,14 +104,15 @@ def high_degree_masks(n: int) -> tuple[int, ...]:
 
 
 def anf_degree(coeffs: int, n: int) -> int:
-    """Degree of an ANF bit string; 0 for the zero ANF by convention."""
-    if coeffs == 0:
-        return 0
+    """Degree of an ANF bit string; 0 for the zero ANF by convention.
+
+    The loop ends by d = n, since high[n] is 0, and at once for the zero ANF.
+    """
     high = high_degree_masks(n)
-    for d in range(n + 1):
-        if coeffs & high[d] == 0:
-            return d
-    raise AssertionError("unreachable")
+    d = 0
+    while coeffs & high[d]:
+        d += 1
+    return d
 
 
 @dataclass(frozen=True)
@@ -269,7 +276,7 @@ def interpolate_low_degree(
     """
     if one in zeros:
         raise ValueError("the one-point must not be among the zeros")
-    monos = [m for level in monomials_by_degree(n)[: min(d, n) + 1] for m in level]
+    monos = monomials_upto(n, d)
     points = sorted(zeros) + [one]
     rows = []
     for m in monos:
@@ -332,16 +339,11 @@ def format_anf(a: Anf) -> str:
     """Human-readable ANF, e.g. 'x1*x2 + x3 + 1'."""
     if a.coeffs == 0:
         return "0"
-    terms = []
-    masks = sorted(
-        (m for m in range(1 << a.n) if (a.coeffs >> m) & 1),
-        key=lambda m: (m.bit_count(), m),
+    terms = (
+        "*".join(f"x{j + 1}" for j in range(a.n) if (m >> j) & 1) or "1"
+        for m in monomials_upto(a.n, a.n)
+        if (a.coeffs >> m) & 1
     )
-    for m in masks:
-        if m == 0:
-            terms.append("1")
-        else:
-            terms.append("*".join(f"x{j + 1}" for j in range(a.n) if (m >> j) & 1))
     return " + ".join(terms)
 
 

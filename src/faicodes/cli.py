@@ -54,8 +54,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_rm(args: argparse.Namespace) -> int:
-    if not 0 <= args.d <= args.n <= 12:
-        raise ValueError(f"need 0 <= d <= n <= 12, got d={args.d} n={args.n}")
+    if not (0 <= args.d <= args.n and 2 <= args.n <= 12):
+        raise ValueError(f"need 0 <= d <= n and 2 <= n <= 12, got d={args.d} n={args.n}")
     field = _field_for(args.n, args.modulus)
     code = rm(args.d, args.n, field)
     if args.punctured_by is not None:

@@ -14,7 +14,7 @@ from typing import Iterable
 from . import f2linalg
 from .f2linalg import BitMatrix, _gauss_jordan, gram, rank, rref
 from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus
-from .boolfun import monomials_by_degree
+from .boolfun import monomials_upto
 
 MIN_WEIGHT_DIM_GUARD = 24
 MIN_WEIGHT_SEARCH_GUARD = 2_000_000
@@ -35,17 +35,10 @@ class LinearCode:
     def dim(self) -> int:
         return self.gen.rows
 
-    def __str__(self) -> str:
-        return f"[{self.length},{self.dim}] code"
-
 
 def code_from_rows(rows: Iterable[int], length: int) -> LinearCode:
     reduced, _ = rref(BitMatrix.from_rows(rows, length))
     return LinearCode(length, reduced)
-
-
-def zero_code(length: int) -> LinearCode:
-    return LinearCode(length, BitMatrix.zeros(0, length))
 
 
 @lru_cache(maxsize=None)
@@ -53,13 +46,12 @@ def _rm_cached(d: int, n: int, modulus: int) -> LinearCode:
     """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus."""
     points = enumerate_points(field_with_modulus(n, modulus))
     rows = []
-    for level in monomials_by_degree(n)[: d + 1]:
-        for m in level:
-            acc = 0
-            for j, pt in enumerate(points):
-                if pt & m == m:
-                    acc |= 1 << j
-            rows.append(acc)
+    for m in monomials_upto(n, d):
+        acc = 0
+        for j, pt in enumerate(points):
+            if pt & m == m:
+                acc |= 1 << j
+        rows.append(acc)
     return code_from_rows(rows, 1 << n)
 
 

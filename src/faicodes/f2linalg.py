@@ -60,9 +60,6 @@ class BitMatrix:
     def entry(self, r: int, c: int) -> int:
         return (self.data[r] >> c) & 1
 
-    def __str__(self) -> str:
-        return to_text(self).rstrip("\n")
-
 
 def _gauss_jordan(work: list[int], cols: Iterable[int]) -> list[int]:
     """Gauss-Jordan elimination in place over cols, in order; returns the pivot columns.

@@ -23,31 +23,21 @@ class FieldGF2n:
     exp: tuple[int, ...]    # exp[i] = alpha^i, length 2^n - 1
 
 
-def _x_power_cycle(modulus: int, n: int) -> list[int] | None:
-    """Powers [x^0, ..., x^{2^n-2}] if x has multiplicative order 2^n - 1, else None."""
+def _x_power_cycle(modulus: int, n: int) -> tuple[int, ...] | None:
+    """Powers (x^0, ..., x^{2^n-2}) if x has multiplicative order 2^n - 1, else None."""
     if not modulus & 1:
         return None
     top = 1 << n
-    powers = [1]
+    powers = []
     val = 1
-    for _ in range(top - 2):
+    for _ in range(top - 1):
+        powers.append(val)
         val <<= 1
         if val & top:
             val ^= modulus
         if val == 1:
-            return None
-        powers.append(val)
-    val <<= 1
-    if val & top:
-        val ^= modulus
-    return powers if val == 1 else None
-
-
-def _build(n: int, modulus: int) -> FieldGF2n:
-    powers = _x_power_cycle(modulus, n)
-    if powers is None:
-        raise ValueError(f"polynomial {modulus:#x} is not primitive of degree {n}")
-    return FieldGF2n(n, modulus, tuple(powers))
+            break
+    return tuple(powers) if val == 1 and len(powers) == top - 1 else None
 
 
 @lru_cache(maxsize=None)
@@ -56,8 +46,9 @@ def field_new(n: int) -> FieldGF2n:
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise ValueError(f"unsupported extension degree {n} (need {MIN_DEGREE}..{MAX_DEGREE})")
     for modulus in range((1 << n) + 1, 1 << (n + 1), 2):
-        if _x_power_cycle(modulus, n) is not None:
-            return _build(n, modulus)
+        powers = _x_power_cycle(modulus, n)
+        if powers is not None:
+            return FieldGF2n(n, modulus, powers)
     raise AssertionError(f"no primitive polynomial of degree {n}")  # never happens
 
 
@@ -67,7 +58,10 @@ def field_with_modulus(n: int, modulus: int) -> FieldGF2n:
         raise ValueError(f"unsupported extension degree {n} (need {MIN_DEGREE}..{MAX_DEGREE})")
     if modulus.bit_length() != n + 1:
         raise ValueError(f"modulus {modulus:#x} does not have degree {n}")
-    return _build(n, modulus)
+    powers = _x_power_cycle(modulus, n)
+    if powers is None:
+        raise ValueError(f"polynomial {modulus:#x} is not primitive of degree {n}")
+    return FieldGF2n(n, modulus, powers)
 
 
 def enumerate_points(field: FieldGF2n) -> tuple[int, ...]:

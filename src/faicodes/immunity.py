@@ -30,6 +30,7 @@ from .boolfun import (
     monomial_sum,
     monomial_tt,
     monomials_by_degree,
+    monomials_upto,
 )
 from .f2linalg import BitMatrix, insert, rref, solve_preimage
 
@@ -119,7 +120,7 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
     first.
     """
     n = f.n
-    monos = [m for level in monomials_by_degree(n)[: min(e, n) + 1] for m in level]
+    monos = monomials_upto(n, e)
     width = len(monos)
     slots = [0] * ((1 << n) + width + 1)
     for i, m in enumerate(monos):
@@ -146,11 +147,10 @@ def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
         raise ValueError(f"degree bound {k} out of range 0..{f.n}")
     n = f.n
     rows = []
-    for level in monomials_by_degree(n)[: k + 1]:
-        for m in level:
-            prod = f.tt & monomial_tt(m, n)
-            if prod:
-                rows.append(mobius(prod, n))
+    for m in monomials_upto(n, k):
+        prod = f.tt & monomial_tt(m, n)
+        if prod:
+            rows.append(mobius(prod, n))
     reduced, _ = rref(BitMatrix.from_rows(rows, 1 << n))
     return reduced
 
@@ -228,7 +228,7 @@ class _DegreeOrder(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _degree_order(n: int) -> _DegreeOrder:
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    masks = monomials_upto(n, n)
     pos = [0] * (1 << n)
     for p, m in enumerate(masks):
         pos[m] = p
@@ -236,39 +236,14 @@ def _degree_order(n: int) -> _DegreeOrder:
     return _DegreeOrder(network, network[::-1], tuple(m.bit_count() for m in masks))
 
 
-class _DegreeBasis:
-    """Incremental XOR basis over degree-ordered ANF coordinates.
-
-    slots[p + 1] holds the basis row whose leading bit is p (0 when none),
-    after the zero sentinel slots[0] that `insert` needs, so reading the
-    slots in order lists the rows by degree.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.order = _degree_order(n)
-        self.slots = [0] * ((1 << n) + 1)
-        self.rank = 0
-
-    def insert_anf(self, coeffs: int) -> bool:
-        """Add one ANF; False when it reduces to zero (it depends on the rows so far)."""
-        if insert(self.slots, _permute(coeffs, self.order.to_degree)):
-            self.rank += 1
-            return True
-        return False
-
-    def rows_by_degree(self) -> list[tuple[int, int]]:
-        """(degree, permuted row) pairs sorted by degree."""
-        deg_at = self.order.deg_at
-        return [(deg_at[p - 1], row) for p, row in enumerate(self.slots) if row]
-
-
 def _admissible_mu(
     rows: list[tuple[int, int]], anf_f_perm: int, annihilators_ok: bool
 ) -> tuple[int | None, int | None]:
     """(mu', witness product row) under the g not-in {0,1} exclusion.
 
-    rows come from _DegreeBasis.rows_by_degree().  A None witness row with a
-    non-None mu' means the product f itself, reachable via 1 + annihilator.
+    rows are the basis rows as (degree, permuted row) pairs, sorted by degree.
+    A None witness row with a non-None mu' means the product f itself,
+    reachable via 1 + annihilator.
     """
     other = next(((deg, row) for deg, row in rows if row != anf_f_perm), (None, None))
     if annihilators_ok and rows and other[0] != rows[0][0]:
@@ -309,30 +284,36 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     """
     n = f.n
     weight = f.tt.bit_count()
-    basis = _DegreeBasis(n)
-    anf_f_perm = _permute(mobius(f.tt, n), basis.order.to_degree)
+    to_degree, _, deg_at = _degree_order(n)
+    # slots[p + 1] holds the basis row led by degree-ordered bit p, so the slots list the
+    # rows by degree; slots[0] stays 0, and insert's loop ends on it once a row reduces to 0
+    slots = [0] * ((1 << n) + 1)
+    rank = 0
+    anf_f_perm = _permute(mobius(f.tt, n), to_degree)
     lda_f: int | None = None
     layer: _Layer | None = None
     settled = False  # by the floor
     for k, level in enumerate(monomials_by_degree(n)):
-        full = settled or basis.rank == weight
+        full = settled or rank == weight
         for m in level:
-            if full or basis.rank == weight:
+            if full or rank == weight:
                 if lda_f is None:
                     lda_f = k
                 break
-            if not basis.insert_anf(mobius(f.tt & monomial_tt(m, n), n)) and lda_f is None:
+            if insert(slots, _permute(mobius(f.tt & monomial_tt(m, n), n), to_degree)):
+                rank += 1
+            elif lda_f is None:
                 lda_f = k
         if k:
             if not (full and layer is not None and layer.lda == lda_f):
-                rows = basis.rows_by_degree()
+                rows = [(deg_at[p - 1], row) for p, row in enumerate(slots) if row]
                 mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
-                layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f, basis.rank)
+                layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f, rank)
                 if floor is not None:
                     if layer.mu < floor:
                         raise AssertionError("a product of f has degree below lda(1+f)")
-                    # lda(f) unknown: the basis.rank products so far are independent
-                    settled = mu_adm == floor and (lda_f is not None or basis.rank + comb(n, k + 1) > weight)
+                    # lda(f) unknown: the rank products so far are independent
+                    settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
             yield layer._replace(k=k)
 
 
@@ -391,7 +372,7 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
         v_anf = mobius(f.tt, n)
     else:
         v_anf = _permute(layer.row, _degree_order(n).from_degree)
-        monos = [m for level in monomials_by_degree(n)[: k + 1] for m in level]
+        monos = monomials_upto(n, k)
         matrix = BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
         combo = solve_preimage(matrix, v_anf)
         if combo is None:
@@ -462,7 +443,7 @@ def fai_direct(f: BooleanFunction) -> int:
     if n > 5:
         raise ValueError("direct search supports n <= 5 (search-space guard)")
     eff = max(1, n // 2)
-    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
+    monos = monomials_upto(n, eff)
 
     g_deg = _g_table(n, eff)
     # g -> anf(f*g) is linear: selector s = 2^t + r gives the ANF of r's product plus f*m_t's
@@ -488,7 +469,7 @@ def _g_table(n: int, eff: int) -> np.ndarray:
     Selector bit t picks the t-th monomial in degree order, so selector 0 is
     g = 0, selector 1 is g = 1, and the top set bit picks the highest degree.
     """
-    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
+    monos = monomials_upto(n, eff)
     g_deg = np.zeros(1 << len(monos), dtype=np.int8)
     for t, m in enumerate(monos):
         g_deg[1 << t : 2 << t] = m.bit_count()

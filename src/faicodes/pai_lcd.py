@@ -29,6 +29,7 @@ from .boolfun import (
     high_degree_masks,
     monomial_tt,
     monomials_by_degree,
+    monomials_upto,
     superset_parity,
 )
 from .codes import (
@@ -39,7 +40,6 @@ from .codes import (
     is_lcd,
     puncture,
     rm,
-    zero_code,
 )
 from .f2linalg import BitMatrix, rank, row_space_meet_dim
 from .gf2m import FieldGF2n
@@ -84,7 +84,7 @@ def ai_exceeds_via_dims(f: BooleanFunction, e: int) -> bool:
         raise ValueError(f"order {e} out of range 1..{f.n}")
     n = f.n
     sc = support_columns(f)
-    full_dim = sum(len(level) for level in monomials_by_degree(n)[: e + 1])
+    full_dim = len(monomials_upto(n, e))
     on_support = _restricted_rm(e, n, sc)
     off_support = puncture(rm(e, n), sc.cols)
     return on_support.dim == full_dim and off_support.dim == full_dim
@@ -93,8 +93,7 @@ def ai_exceeds_via_dims(f: BooleanFunction, e: int) -> bool:
 def fai_at_least_via_codes(f: BooleanFunction, s: int) -> bool:
     """True iff FAI(f) >= s, via meets of restricted RM codes with restricted duals.
 
-    Requires deg(f) >= s - 1; orders above n collapse to the full space and
-    below 0 to the zero code.
+    Requires deg(f) >= s - 1; orders above n collapse to the full space.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
@@ -104,11 +103,7 @@ def fai_at_least_via_codes(f: BooleanFunction, s: int) -> bool:
     comp = support_columns(f).complement()
     for e in range(1, n + 1):
         left = puncture(rm(e, n), comp)
-        e2 = min(e + n - s, n)
-        if e2 < 0:
-            right = puncture(zero_code(1 << n), comp)
-        else:
-            right = puncture(rm(e2, n), comp)
+        right = puncture(rm(min(e + n - s, n), n), comp)
         if row_space_meet_dim(left.gen, dual(right).gen) != 0:
             return False
     return True
@@ -131,7 +126,7 @@ def lcd_from_pai(f: BooleanFunction, e: int) -> LinearCode:
     if value < n:
         raise ValueError(f"not a perfect algebraic immune function: fai = {value} < {n}")
     code = _restricted_rm(e, n, support_columns(f))
-    expected_dim = sum(len(level) for level in monomials_by_degree(n)[: e + 1])
+    expected_dim = len(monomials_upto(n, e))
     if not is_lcd(code) or code.dim != expected_dim or code.length != f.tt.bit_count():
         raise AssertionError("extracted code violates the LCD/dimension contract")
     d = dual(code)

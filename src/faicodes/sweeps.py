@@ -33,6 +33,7 @@ from .boolfun import (
     mobius,
     monomial_sum,
     monomials_by_degree,
+    monomials_upto,
     multiply,
     random_affine_map,
     random_function,
@@ -213,11 +214,7 @@ def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
 def _tightness_instance(n: int, rng: random.Random) -> BooleanFunction:
     """A function whose support strictly contains that of a nonconstant affine l."""
     a = rng.randrange(1, 1 << n)
-    c = rng.getrandbits(1)
-    tt = 0
-    for x in range(1 << n):
-        if ((a & x).bit_count() + c) & 1:
-            tt |= 1 << x
+    tt = _linear_tt(a, n) ^ mobius(rng.getrandbits(1), n)  # the constant 1 has the all-ones table
     extra = rng.randrange(1 << n)
     while (tt >> extra) & 1:
         extra = rng.randrange(1 << n)
@@ -231,8 +228,7 @@ def _diverged_class_ok(f: BooleanFunction, bound: int) -> bool:
     deg_f = degree(f)
     anf_f = anf_of(f).coeffs
     mus = profile(f).mu
-    low_masks = [m for level in monomials_by_degree(f.n)[: deg_f + 1] for m in level]
-    low_basis = BitMatrix.from_rows((1 << m for m in low_masks), 1 << f.n)
+    low_basis = BitMatrix.from_rows((1 << m for m in monomials_upto(f.n, deg_f)), 1 << f.n)
     for k in range(1, f.n + 1):
         mk = mus[k - 1]
         if mk is None or k + mk != bound:
@@ -347,7 +343,7 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
         raise ValueError("approximation sweep needs n >= 2")
     rep = SweepReport("approximation", n, trials, seed)
     rng = random.Random(seed)
-    linear_tts = _nonzero_linear_tts(n)
+    linear_tts = [_linear_tt(a, n) for a in range(1, 1 << n)]
     for _ in range(trials):
         f = random_nonconstant(n, rng)
         # AI perturbation bound
@@ -414,15 +410,9 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
     return rep
 
 
-def _nonzero_linear_tts(n: int) -> list[int]:
-    out = []
-    for a in range(1, 1 << n):
-        tt = 0
-        for x in range(1 << n):
-            if (a & x).bit_count() & 1:
-                tt |= 1 << x
-        out.append(tt)
-    return out
+def _linear_tt(a: int, n: int) -> int:
+    """Truth table of the linear form x -> a.x."""
+    return mobius(monomial_sum(a, monomials_by_degree(n)[1]), n)
 
 
 # --- concatenation ----------------------------------------------------------
@@ -531,7 +521,7 @@ def sweep_codes(n: int, trials: int, seed: int) -> SweepReport:
 
 def _low_degree_tts(n: int, e: int) -> Iterator[int]:
     """Truth tables of every nonzero g with deg(g) <= e, by brute ANF selection."""
-    monos = [m for level in monomials_by_degree(n)[: e + 1] for m in level]
+    monos = monomials_upto(n, e)
     for sel in range(1, 1 << len(monos)):
         yield mobius(monomial_sum(sel, monos), n)
 

@@ -19,6 +19,7 @@ from faicodes.boolfun import (
     format_function,
     interpolate_low_degree,
     monomial_tt,
+    monomials_upto,
     multiply,
     parse_function,
     random_affine_map,
@@ -167,6 +168,14 @@ def test_interpolate_guaranteed_existence():
 def test_monomial_tt():
     assert monomial_tt(0, 2) == 0b1111
     assert monomial_tt(0b11, 2) == 0b1000
+
+
+def test_monomials_upto():
+    for n in (1, 3, 5):
+        in_order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+        for d in range(-3, n + 2):
+            assert monomials_upto(n, d) == tuple(m for m in in_order if m.bit_count() <= d)
+    assert monomials_upto(3, 1) == (0, 1, 2, 4)
 
 
 def test_parse_and_format():

@@ -67,6 +67,20 @@ def test_rm_range_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "1", "13"])
+def test_rm_variable_range_error(n, capsys):
+    # checked before any field is built, so the error names the real range of n
+    code, out, err = run(capsys, "rm", "0", n)
+    assert code == 2
+    assert out == "" and "2 <= n <= 12" in err and "extension degree" not in err
+
+
+def test_rm_punctured_by_other_variable_count(capsys):
+    code, out, err = run(capsys, "rm", "1", "3", "--punctured-by", "4:1234")
+    assert code == 2
+    assert out == "" and "different variable count" in err
+
+
 def test_pai_verify_function(capsys):
     code, out, _ = run(capsys, "pai-verify", "4:195F", "--json")
     assert code == 0
@@ -110,12 +124,26 @@ def test_pai_verify_search_n3(capsys):
     assert all(r["pai_by_def"] for r in records)
 
 
+def test_pai_verify_search_text_ends_with_count(capsys):
+    code, out, _ = run(capsys, "pai-verify", "--search", "2")
+    assert code == 0
+    assert out.endswith("# 15 PAI functions at n=2\n")
+    assert sum(line.startswith("tt: ") for line in out.splitlines()) == 15
+
+
 def test_carlet_feng(capsys):
     code, out, _ = run(capsys, "carlet-feng", "5", "--offset", "0", "--json")
     assert code == 0
     rec = json.loads(out)
     assert rec["wt"] == 16 and rec["fai"] == 5 and rec["pai_by_def"]
     assert rec["columns"] == list(range(1, 17))
+
+
+def test_carlet_feng_short_support_is_not_pai(capsys):
+    code, out, _ = run(capsys, "carlet-feng", "4", "--count", "5", "--json")
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["wt"] == 6 and not rec["pai_by_def"]  # 5 powers of alpha plus 0
 
 
 def test_carlet_feng_modulus_override(capsys):

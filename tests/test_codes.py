@@ -18,7 +18,6 @@ from faicodes.codes import (
     puncture,
     rm,
     shorten,
-    zero_code,
 )
 from faicodes.f2linalg import BitMatrix
 from faicodes.gf2m import field_new, field_with_modulus
@@ -122,7 +121,7 @@ def test_min_weight():
         for d in range(n + 1):
             assert min_weight(rm(d, n)) == 1 << (n - d)
     with pytest.raises(ValueError):
-        min_weight(zero_code(4))
+        min_weight(LinearCode(4, BitMatrix.zeros(0, 4)))
 
 
 def test_min_weight_high_dimension_path():

@@ -49,3 +49,5 @@ def test_modulus_override():
         field_with_modulus(3, 0b111)   # wrong degree
     with pytest.raises(ValueError):
         field_with_modulus(4, 0b11111)  # x^4+x^3+x^2+x+1 has order 5, not primitive
+    with pytest.raises(ValueError):
+        field_with_modulus(4, 0x12)  # x^4 + x: even, so x is a zero divisor

@@ -11,6 +11,7 @@ from faicodes.boolfun import (
     complement,
     delta,
     high_degree_masks,
+    interpolate_low_degree,
     monomial_sum,
     monomial_tt,
     monomials_by_degree,
@@ -26,7 +27,6 @@ from faicodes.immunity import (
     _benes,
     _best_layer,
     _degree_order,
-    _DegreeBasis,
     _g_table,
     _layers,
     _least_total,
@@ -64,6 +64,15 @@ def test_annihilator_witness_examples():
     assert annihilator_witness(all_ones(3), 3) is None
     w0 = annihilator_witness(BooleanFunction(3, 0), 0)
     assert w0 is not None and w0.coeffs == 1
+
+
+@pytest.mark.parametrize("bound", [-1, -2, -5])
+def test_negative_degree_bounds_find_nothing(bound):
+    # no nonzero g has degree below 0: not for the zero function, nor for 1 + x5, which x5 annihilates
+    for tt in (0, 0x0000FFFF):
+        assert annihilator_witness(BooleanFunction(5, tt), bound) is None
+    assert interpolate_low_degree({1, 2, 3}, 5, bound, 4) is None
+    assert interpolate_low_degree(set(), 5, bound, 4) is None
 
 
 def test_ai_examples():
@@ -366,9 +375,9 @@ def _floor_cases():
 
 
 def test_floor_stopped_pass_matches_full_pass(monkeypatch):
+    # counts every basis insert, the column scans' too: both sides run the same scans
     inserted = []
-    insert_anf = _DegreeBasis.insert_anf
-    monkeypatch.setattr(_DegreeBasis, "insert_anf", lambda self, coeffs: inserted.append(1) or insert_anf(self, coeffs))
+    monkeypatch.setattr(immunity, "insert", lambda slots, row: inserted.append(1) or insert(slots, row))
     full_pass = immunity._layers
     counts = {"full": 0, "floor": 0}
     for f in _floor_cases():
