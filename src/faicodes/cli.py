@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -141,7 +142,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}")
     if args.trials < 0:
         raise ValueError(f"trial count {args.trials} is negative (0 asks for the exhaustive variant)")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = SUITES[args.suite](args.n, args.trials, args.seed)
     with _open_out(args.out) as out:
         if args.json:
@@ -153,11 +154,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for failure in report.failures:
                 out.write(f"FAIL {failure}\n")
             out.write(f"checks: {report.checks}  failures: {len(report.failures)}\n")
-    print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
+    print(f"elapsed: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call (not at import) and reused.
+
+    parse_args leaves a parser as it was, so one call cannot change the next.
+    """
     parser = argparse.ArgumentParser(
         prog="faicodes",
         description="Algebraic immunity, fast-immunity profiles and LCD codes "

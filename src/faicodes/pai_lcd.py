@@ -172,8 +172,10 @@ def pai_certificate(f: BooleanFunction) -> dict:
     value, the least k + mu'_k as in `ffai`, and each order's dimension,
     the rank of layer e: the Moebius transform maps the rows f*m_u to the
     products' ANFs bijectively.  Once the rank reaches wt(f), the code is
-    all of GF(2)^wt(f), whose dual is zero: every later order keeps that
-    dimension and the zero hull.
+    all of GF(2)^wt(f), whose dual is zero: that order and every later one
+    keep that dimension and the zero hull, and none of them builds Gram rows
+    or ranks them.  A spanning set G of column rank wt has ker G = 0, so
+    G G^T x = 0 gives G^T x = 0 and rank(G G^T) = rank(G^T) = wt.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
@@ -184,13 +186,11 @@ def pai_certificate(f: BooleanFunction) -> dict:
     high = high_degree_masks(n)
     gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v]
     monos = [0]
-    dim = 1  # the rank of f alone
-    hull = 0
     per_e = []
     for layer, level in zip(layers, monomials_by_degree(n)[1:]):
-        e = layer.k
+        e, dim = layer.k, layer.rank
+        hull = 0  # dim == wt: the rows span GF(2)^wt, so rank(G G^T) = wt
         if dim < wt:
-            dim = layer.rank
             for u in level:
                 monos.append(u)
                 low = u & -u  # row u at v is row u - low at v|low: copy those columns down

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from faicodes.cli import main
+import faicodes
+from faicodes.cli import build_parser, main
+
+SRC = str(Path(faicodes.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -229,3 +236,40 @@ def test_pai_verify_requires_argument(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pai-verify"])
     assert exc.value.code == 2
+
+
+def _fresh_process(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, check=False)
+
+
+# an analysis, a certificate, a usage error (exit 2), an argparse error (SystemExit), a carlet-feng run
+PARSER_SEQUENCE = (
+    ("analyze", "5:B41365B6", "--json"),
+    ("pai-verify", "4:195F"),
+    ("analyze", "3:00"),
+    ("pai-verify", "3:E8", "--search", "3"),
+    ("carlet-feng", "5", "--offset", "7", "--json"),
+)
+
+
+def test_one_parser_serves_every_call(capsys):
+    build_parser.cache_clear()
+    codes = []
+    for argv in PARSER_SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = _fresh_process("-m", "faicodes.cli", *argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 2, 0]
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(PARSER_SEQUENCE) - 1)
+
+
+def test_import_builds_no_parser():
+    proc = _fresh_process("-c", "import faicodes.cli as cli; print(cli.build_parser.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

@@ -2,8 +2,18 @@ import random
 
 import pytest
 
-from faicodes.boolfun import BooleanFunction, degree, parse_function, random_nonconstant
+from faicodes import pai_lcd
+from faicodes.boolfun import (
+    BooleanFunction,
+    degree,
+    mobius,
+    monomial_sum,
+    monomials_upto,
+    parse_function,
+    random_nonconstant,
+)
 from faicodes.codes import hull_dim, is_lcd, puncture, rm
+from faicodes.f2linalg import rank
 from faicodes.gf2m import field_new, field_with_modulus
 from faicodes.immunity import ai, fai
 from faicodes.pai_lcd import (
@@ -183,6 +193,30 @@ def _certificate_functions():
         for field in _fields(n):
             for off in offsets:
                 yield function_from_columns(carlet_feng_support(n, off), field), [field]
+    for f in _full_space_functions():
+        yield f, _fields(f.n)
+
+
+def _full_space_functions():
+    """Inputs whose order codes reach all of GF(2)^wt early: sparse supports, products g*h, random n = 9."""
+    rng = random.Random(36)
+    for n in (5, 6, 7, 8):
+        for wt in range(1, n + 2):
+            yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(1 << n), wt)))
+        for dim in range(2, (n + 1).bit_length()):  # an affine flat of 2^dim <= n + 1 points
+            base, axes = rng.getrandbits(n), rng.sample(range(n), dim)
+            flat = {base ^ sum(1 << a for i, a in enumerate(axes) if s >> i & 1) for s in range(1 << dim)}
+            yield BooleanFunction(n, sum(1 << x for x in flat))
+    for n in (5, 6, 7, 8):
+        for d in (1, 2):
+            monos = monomials_upto(n, d)[1:]  # no constant term: g is not the all-ones function
+            fh = 0
+            while fh == 0:
+                g = mobius(monomial_sum(rng.getrandbits(len(monos)), monos), n)
+                fh = g & rng.getrandbits(1 << n)
+            yield BooleanFunction(n, fh)  # annihilated by 1 + g, of degree <= d
+    for _ in range(2):
+        yield random_nonconstant(9, rng)
 
 
 def test_pai_certificate_matches_punctured_rm():
@@ -196,6 +230,28 @@ def test_pai_certificate_matches_punctured_rm():
                 code = puncture(rm(entry["e"], f.n, field), sc.complement())
                 got = (entry["length"], entry["dim"], entry["hull"], entry["lcd"])
                 assert got == (code.length, code.dim, hull_dim(code), is_lcd(code)), (cert["tt"], field.modulus)
+
+
+def test_pai_certificate_ranks_no_full_space_order(monkeypatch):
+    # from the first order with dim == wt on, the hull is 0 without a Gram rank
+    calls = []
+
+    def counting_rank(m):
+        calls.append(m.rows)
+        return rank(m)
+
+    monkeypatch.setattr(pai_lcd, "rank", counting_rank)
+    skipped = ranked = 0
+    for f in _full_space_functions():
+        calls.clear()
+        per_e = pai_certificate(f)["per_e_lcd_status"]
+        below = [entry["e"] for entry in per_e if entry["dim"] < entry["length"]]
+        assert below == list(range(1, len(below) + 1)), f  # the full space, once reached, stays
+        assert calls == [len(monomials_upto(f.n, e)) for e in below], f  # one rank per order below it
+        assert all(entry["hull"] == 0 for entry in per_e[len(below) :])
+        skipped += len(per_e) - len(below)
+        ranked += len(below)
+    assert skipped and ranked
 
 
 def test_support_columns_type():
