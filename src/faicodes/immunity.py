@@ -428,6 +428,10 @@ def is_pai(f: BooleanFunction) -> bool:
 # --- independent brute-force oracle -----------------------------------------
 
 
+_DIRECT_BLOCK_BITS = 14  # 2^14 uint32 ANFs: 64 KiB per buffer
+_NO_TOTAL = 127  # int8 stand-in for an excluded selector, above every deg(g) + deg(f*g) <= 2n
+
+
 def fai_direct(f: BooleanFunction) -> int:
     """Exhaustive FAI over all g with deg(g) <= max(1, floor(n/2)), for n <= 5.
 
@@ -436,6 +440,12 @@ def fai_direct(f: BooleanFunction) -> int:
     never empty); at n = 5 that leaves 2^16 choices of g.  Vectorized over
     every coefficient choice, each product's ANF built by linearity from
     those of the products f*m.
+
+    The choices run in blocks of 2^_DIRECT_BLOCK_BITS selectors through
+    arrays allocated once per call, each under 128 KiB, so that malloc
+    serves them from its heap: arrays of all 2^16 choices would be mapped
+    fresh and page-faulted in on every call, at a cost that varies with the
+    host's memory traffic.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
@@ -446,20 +456,37 @@ def fai_direct(f: BooleanFunction) -> int:
     monos = monomials_upto(n, eff)
 
     g_deg = _g_table(n, eff)
-    # g -> anf(f*g) is linear: selector s = 2^t + r gives the ANF of r's product plus f*m_t's
-    anf = np.zeros(g_deg.shape, dtype=np.uint64)
-    for t, m in enumerate(monos):
-        anf[1 << t : 2 << t] = anf[: 1 << t] ^ np.uint64(mobius(f.tt & monomial_tt(m, n), n))
-    deg_p = np.zeros(anf.shape, dtype=np.int8)
-    for high in high_degree_masks(n)[:n]:
-        deg_p += ((anf & np.uint64(high)) != 0).astype(np.int8)
+    # g -> anf(f*g) is linear: selector s = 2^t + r gives the ANF of r's product plus f*m_t's,
+    # and s = (hi << low) + lo gives the ANF of lo's product plus hi's
+    prods = [mobius(f.tt & monomial_tt(m, n), n) for m in monos]
+    low = min(len(monos), _DIRECT_BLOCK_BITS)
+    anf_low = np.zeros(1 << low, dtype=np.uint32)  # ANFs of n <= 5 variables have 2^n <= 32 bits
+    for t in range(low):
+        anf_low[1 << t : 2 << t] = anf_low[: 1 << t] ^ np.uint32(prods[t])
+    anf_high = [0]
+    for p in prods[low:]:
+        anf_high += [a ^ p for a in anf_high]
+    highs = [np.uint32(high) for high in high_degree_masks(n)[:n]]
 
-    valid = anf != 0  # f*g is nonzero iff its ANF is; this drops selector 0, g = 0
-    valid[1] = False  # selector 1 picks only the constant monomial: g = 1
-    totals = (g_deg + deg_p)[valid]
-    if totals.size == 0:
+    anf, hit = np.empty_like(anf_low), np.empty_like(anf_low)
+    totals = np.empty(anf.shape, dtype=np.int8)
+    flags = np.empty(anf.shape, dtype=bool)
+    best = _NO_TOTAL
+    for hi, a in enumerate(anf_high):
+        np.bitwise_xor(anf_low, np.uint32(a), out=anf)
+        np.copyto(totals, g_deg[hi << low : (hi + 1) << low])
+        for high in highs:  # deg(f*g) counts the masks of degree > d, d < n, that the ANF meets
+            np.bitwise_and(anf, high, out=hit)
+            np.not_equal(hit, 0, out=flags)
+            totals += flags
+        np.equal(anf, 0, out=flags)  # excluded: f*g is nonzero iff its ANF is; this drops selector 0, g = 0
+        if hi == 0:
+            flags[1] = True  # selector 1 picks only the constant monomial: g = 1
+        np.putmask(totals, flags, _NO_TOTAL)
+        best = min(best, int(totals.min()))
+    if best == _NO_TOTAL:
         raise AssertionError("no admissible g found; the degree bound argument fails")
-    return int(totals.min())
+    return best
 
 
 @lru_cache(maxsize=8)

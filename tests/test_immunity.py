@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,19 @@ def test_fai_direct_table_is_cached_read_only():
     assert _g_table(5, 2) is g_deg
     assert not g_deg.flags.writeable
     assert fai_direct(f) == first == fai(f).value
+
+
+def test_fai_direct_buffers_stay_small():
+    """No array over all 2^16 choices at n = 5: malloc would map and fault it in on every call."""
+    f = parse_function("5:B41365B6")
+    expected = fai_direct(f)  # builds the cached deg(g) table outside the measurement
+    tracemalloc.start()
+    try:
+        assert fai_direct(f) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16) * 4, peak  # one uint32 ANF per choice
 
 
 def _two_sided_cases():
