@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import compress, count
 from typing import Sequence
 
-from .f2linalg import BitMatrix, rank, solve_preimage
+from .f2linalg import BitMatrix, combine, gather, rank, solve_preimage, transpose
 
 MAX_VARS = 16
 
@@ -49,22 +49,10 @@ def superset_parity(bits: int, n: int) -> int:
     return bits
 
 
-@lru_cache(maxsize=None)
-def _var_tts(n: int) -> tuple[int, ...]:
-    """Truth table of each coordinate function x_j (index j-1), the butterfly's high halves."""
-    return tuple(mask << shift for shift, mask in _butterfly_masks(n))
-
-
 @lru_cache(maxsize=8192)
 def monomial_tt(mask: int, n: int) -> int:
-    """Truth table of the monomial prod_{j in mask} x_j."""
-    tt = (1 << (1 << n)) - 1
-    vars_ = _var_tts(n)
-    while mask:
-        low = mask & -mask
-        tt &= vars_[low.bit_length() - 1]
-        mask ^= low
-    return tt
+    """Truth table of the monomial prod_{j in mask} x_j: the transform of its one-term ANF."""
+    return mobius(1 << mask, n)
 
 
 @lru_cache(maxsize=None)
@@ -84,12 +72,19 @@ def monomials_upto(n: int, d: int) -> tuple[int, ...]:
 
 def monomial_sum(selection: int, monos: Sequence[int]) -> int:
     """ANF of the sum of monos[i] over the set bits i of selection (a solve's combination)."""
-    coeffs = 0
-    while selection:
-        low = selection & -selection
-        coeffs ^= 1 << monos[low.bit_length() - 1]
-        selection ^= low
-    return coeffs
+    return combine(selection, [1 << m for m in monos])
+
+
+def evaluation_rows(monos: Sequence[int], points: Sequence[int]) -> list[int]:
+    """Row i has bit j set where the monomial monos[i] is 1 at points[j]."""
+    rows = []
+    for m in monos:
+        acc = 0
+        for j, pt in enumerate(points):
+            if pt & m == m:
+                acc |= 1 << j
+        rows.append(acc)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -233,25 +228,13 @@ def apply_affine(f: BooleanFunction, m: AffineMap) -> BooleanFunction:
     if f.n != m.n:
         raise ValueError(f"variable count mismatch: {f.n} vs {m.n}")
     n = f.n
-    # columns of A as n-bit ints: (A x) = XOR of columns at the set bits of x
-    cols = [0] * n
-    for i in range(n):
-        row = m.matrix.data[i]
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << i
-            row ^= low
+    cols = transpose(m.matrix).data  # A x = XOR of the columns at the set bits of x
     images = [0] * (1 << n)
     images[0] = m.shift
     for x in range(1, 1 << n):
         low = x & -x
         images[x] = images[x ^ low] ^ cols[low.bit_length() - 1]
-    tt = f.tt
-    new_tt = 0
-    for x, y in enumerate(images):
-        if (tt >> y) & 1:
-            new_tt |= 1 << x
-    return BooleanFunction(n, new_tt)
+    return BooleanFunction(n, gather(f.tt, images))
 
 
 def concatenate(f0: BooleanFunction, f1: BooleanFunction) -> BooleanFunction:
@@ -278,14 +261,7 @@ def interpolate_low_degree(
         raise ValueError("the one-point must not be among the zeros")
     monos = monomials_upto(n, d)
     points = sorted(zeros) + [one]
-    rows = []
-    for m in monos:
-        acc = 0
-        for j, pt in enumerate(points):
-            if pt & m == m:
-                acc |= 1 << j
-        rows.append(acc)
-    matrix = BitMatrix.from_rows(rows, len(points))
+    matrix = BitMatrix.from_rows(evaluation_rows(monos, points), len(points))
     target = 1 << (len(points) - 1)
     combo = solve_preimage(matrix, target)
     return None if combo is None else Anf(n, monomial_sum(combo, monos))

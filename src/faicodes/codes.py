@@ -12,9 +12,9 @@ from itertools import combinations
 from typing import Iterable
 
 from . import f2linalg
-from .f2linalg import BitMatrix, _gauss_jordan, gram, rank, rref
+from .f2linalg import BitMatrix, _gauss_jordan, gather, gram, rank, rref, transpose
 from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus
-from .boolfun import monomials_upto
+from .boolfun import evaluation_rows, monomials_upto
 
 MIN_WEIGHT_DIM_GUARD = 24
 MIN_WEIGHT_SEARCH_GUARD = 2_000_000
@@ -45,14 +45,7 @@ def code_from_rows(rows: Iterable[int], length: int) -> LinearCode:
 def _rm_cached(d: int, n: int, modulus: int) -> LinearCode:
     """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus."""
     points = enumerate_points(field_with_modulus(n, modulus))
-    rows = []
-    for m in monomials_upto(n, d):
-        acc = 0
-        for j, pt in enumerate(points):
-            if pt & m == m:
-                acc |= 1 << j
-        rows.append(acc)
-    return code_from_rows(rows, 1 << n)
+    return code_from_rows(evaluation_rows(monomials_upto(n, d), points), 1 << n)
 
 
 def rm(d: int, n: int, field: FieldGF2n | None = None) -> LinearCode:
@@ -64,15 +57,6 @@ def rm(d: int, n: int, field: FieldGF2n | None = None) -> LinearCode:
     elif field.n != n:
         raise ValueError("field degree does not match the variable count")
     return _rm_cached(d, n, field.modulus)
-
-
-def column_points(n: int, field: FieldGF2n | None = None) -> tuple[int, ...]:
-    """Map from code column index to truth-table point index.
-
-    A field element's bit j - 1 (the coefficient of x^(j-1)) drives variable
-    x_j, so each enumerated point is already its own truth-table index.
-    """
-    return enumerate_points(field or field_new(n))
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -91,14 +75,7 @@ def _delete_columns(rows: Iterable[int], drop: list[int], length: int) -> Linear
     """The code spanned by rows once the drop columns are deleted and the rest renumbered in order."""
     dropped = set(drop)
     keep = [j for j in range(length) if j not in dropped]
-    out = []
-    for row in rows:
-        acc = 0
-        for new_j, old_j in enumerate(keep):
-            if (row >> old_j) & 1:
-                acc |= 1 << new_j
-        out.append(acc)
-    return code_from_rows(out, len(keep))
+    return code_from_rows((gather(row, keep) for row in rows), len(keep))
 
 
 def puncture(c: LinearCode, coords: Iterable[int]) -> LinearCode:
@@ -152,13 +129,7 @@ def min_weight(c: LinearCode) -> int:
             if w < best:
                 best = w
         return best
-    h = dual(c).gen
-    cols = [0] * c.length
-    for i, row in enumerate(h.data):
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << i
-            row ^= low
+    cols = transpose(dual(c).gen).data
     examined = 0
     for w in range(1, c.length + 1):
         for combo in combinations(range(c.length), w):

@@ -18,12 +18,17 @@ Every elimination in the library runs through one of two kernels:
   slots[0] is a zero sentinel that ends the reduction of a dependent row,
   so a basis for rows of width w needs w + 1 slots.  Callers: `rank` and
   every incremental basis.
+
+Three bit helpers, none of them an elimination, hold the idioms the other
+modules share: `transpose` turns rows into columns, `combine` XORs the items
+a selector's set bits pick, and `gather` reads bit positions[j] of an int
+into bit j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,6 @@ class BitMatrix:
     @staticmethod
     def identity(k: int) -> BitMatrix:
         return BitMatrix(k, k, tuple(1 << i for i in range(k)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> BitMatrix:
-        return BitMatrix(rows, cols, (0,) * rows)
 
     def entry(self, r: int, c: int) -> int:
         return (self.data[r] >> c) & 1
@@ -168,15 +169,37 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product a @ b over GF(2)."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    out = []
-    for row in a.data:
-        acc = 0
+    return BitMatrix.from_rows((combine(row, b.data) for row in a.data), b.cols)
+
+
+def transpose(m: BitMatrix) -> BitMatrix:
+    """m^T: row j holds column j of m, bit i set where row i of m has bit j."""
+    cols = [0] * m.cols
+    for i, row in enumerate(m.data):
         while row:
             low = row & -row
-            acc ^= b.data[low.bit_length() - 1]
+            cols[low.bit_length() - 1] |= 1 << i
             row ^= low
-        out.append(acc)
-    return BitMatrix.from_rows(out, b.cols)
+    return BitMatrix.from_rows(cols, m.rows)
+
+
+def combine(selector: int, items: Sequence[int]) -> int:
+    """XOR of items[i] over the set bits i of selector."""
+    acc = 0
+    while selector:
+        low = selector & -selector
+        acc ^= items[low.bit_length() - 1]
+        selector ^= low
+    return acc
+
+
+def gather(bits: int, positions: Iterable[int]) -> int:
+    """Bit j of the result is bit positions[j] of bits."""
+    acc = 0
+    for j, p in enumerate(positions):
+        if (bits >> p) & 1:
+            acc |= 1 << j
+    return acc
 
 
 def solve_preimage(m: BitMatrix, y: int) -> int | None:

@@ -65,5 +65,10 @@ def field_with_modulus(n: int, modulus: int) -> FieldGF2n:
 
 
 def enumerate_points(field: FieldGF2n) -> tuple[int, ...]:
-    """The enumeration [0, alpha^0, alpha^1, ..., alpha^{2^n-2}] of all field elements."""
+    """The enumeration [0, alpha^0, alpha^1, ..., alpha^{2^n-2}] of all field elements.
+
+    This is the column order of the Reed-Muller codes: column j evaluates at
+    the j-th point.  A field element's bit j - 1 (the coefficient of
+    x^(j-1)) drives variable x_j, so each point is its own truth-table index.
+    """
     return (0,) + field.exp

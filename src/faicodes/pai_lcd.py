@@ -34,7 +34,6 @@ from .boolfun import (
 )
 from .codes import (
     LinearCode,
-    column_points,
     dual,
     is_even_like,
     is_lcd,
@@ -42,7 +41,7 @@ from .codes import (
     rm,
 )
 from .f2linalg import BitMatrix, rank, row_space_meet_dim
-from .gf2m import FieldGF2n
+from .gf2m import FieldGF2n, enumerate_points, field_new
 from .immunity import _best_layer, _layers, fai
 
 
@@ -58,13 +57,13 @@ class SupportColumns:
 
 
 def support_columns(f: BooleanFunction, field: FieldGF2n | None = None) -> SupportColumns:
-    pts = column_points(f.n, field)
+    pts = enumerate_points(field or field_new(f.n))
     cols = frozenset(j for j, pt in enumerate(pts) if (f.tt >> pt) & 1)
     return SupportColumns(f.n, cols)
 
 
 def function_from_columns(sc: SupportColumns, field: FieldGF2n | None = None) -> BooleanFunction:
-    pts = column_points(sc.n, field)
+    pts = enumerate_points(field or field_new(sc.n))
     tt = 0
     for j in sc.cols:
         tt |= 1 << pts[j]

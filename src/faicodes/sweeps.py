@@ -191,19 +191,11 @@ def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
         rep.check(
             mul(a, BitMatrix.identity(cols)).data == a.data, "mul-identity", str(a.data)
         )
-        combo = rng.getrandbits(a.rows)
-        y = 0
-        for i in range(a.rows):
-            if (combo >> i) & 1:
-                y ^= a.data[i]
+        y = fl.combine(rng.getrandbits(a.rows), a.data)
         x = solve_preimage(a, y)
         rep.check(x is not None, "solve-preimage-exists", str((a.data, y)))
         if x is not None:
-            yy = 0
-            for i in range(a.rows):
-                if (x >> i) & 1:
-                    yy ^= a.data[i]
-            rep.check(yy == y, "solve-preimage-valid", str((a.data, y)))
+            rep.check(fl.combine(x, a.data) == y, "solve-preimage-valid", str((a.data, y)))
         rep.check(fl.from_text(fl.to_text(m)).data == m.data, "text-roundtrip", str(m.data))
     return rep
 
@@ -521,9 +513,9 @@ def sweep_codes(n: int, trials: int, seed: int) -> SweepReport:
 
 def _low_degree_tts(n: int, e: int) -> Iterator[int]:
     """Truth tables of every nonzero g with deg(g) <= e, by brute ANF selection."""
-    monos = monomials_upto(n, e)
-    for sel in range(1, 1 << len(monos)):
-        yield mobius(monomial_sum(sel, monos), n)
+    anfs = [1 << m for m in monomials_upto(n, e)]
+    for sel in range(1, 1 << len(anfs)):
+        yield mobius(fl.combine(sel, anfs), n)
 
 
 def _brute_ai_table_n4() -> np.ndarray:
@@ -546,7 +538,11 @@ def _brute_ai_table_n4() -> np.ndarray:
 
 
 def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
-    """trials = 0 runs the exhaustive n=4 comparison against brute-force search."""
+    """trials = 0 runs the exhaustive n=4 comparison against brute-force search.
+
+    The random mode enumerates every g of degree <= e, 2^C(n, <= e) of them,
+    so it is refused above n = 5: at n = 6, e = 3 alone means 2^42.
+    """
     rep = SweepReport("ai-oracle", n, trials, seed)
     if trials == 0:
         if n != 4:
@@ -556,6 +552,8 @@ def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
             f = BooleanFunction(4, tt)
             rep.check(ai(f) == int(table[tt]), "ai-matches-bruteforce", lambda: _fmt(f))
     else:
+        if n > 5:
+            raise ValueError("random ai-oracle mode supports n <= 5 (search-space guard)")
         rng = random.Random(seed)
         for _ in range(trials):
             f = random_function(n, rng)
@@ -626,22 +624,6 @@ def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
             _fmt(f),
         )
     return rep
-
-
-def exhaustive_pai_sets(n: int) -> tuple[set[int], set[int], set[int]]:
-    """(PAI by definition, PAI by LCD, degree-deficient difference) over all tt."""
-    by_def: set[int] = set()
-    by_lcd: set[int] = set()
-    deficient: set[int] = set()
-    for tt in range(1, 1 << (1 << n)):
-        f = BooleanFunction(n, tt)
-        if fai(f).value >= n:
-            by_def.add(tt)
-            if degree(f) < n - 1:
-                deficient.add(tt)
-        if is_pai_via_lcd(f):
-            by_lcd.add(tt)
-    return by_def, by_lcd, deficient
 
 
 def sweep_carlet_feng(n: int, trials: int, seed: int) -> SweepReport:

@@ -15,6 +15,7 @@ from faicodes.boolfun import (
     concatenate,
     degree,
     delta,
+    evaluation_rows,
     format_anf,
     format_function,
     interpolate_low_degree,
@@ -201,3 +202,36 @@ def test_weight_identity_random():
         f, g = random_function(n, rng), random_function(n, rng)
         assert weight(add(f, g)) == weight(f) + weight(g) - 2 * weight(multiply(f, g))
         assert degree(multiply(f, g)) <= degree(f) + degree(g)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BooleanFunction(0, 0), "variable count 0 out of range"),
+        (lambda: BooleanFunction(17, 0), "variable count 17 out of range"),
+        (lambda: BooleanFunction(2, 1 << 4), "truth table does not fit"),
+        (lambda: Anf(0, 0), "variable count 0 out of range"),
+        (lambda: Anf(2, 1 << 4), "coefficient string does not fit"),
+        (lambda: delta(4, 2), "point 4 out of range"),
+        (lambda: apply_affine(MAJ3, AffineMap(2, BitMatrix.identity(2), 0)), "variable count mismatch"),
+        (lambda: AffineMap(3, BitMatrix.identity(2), 0), "matrix shape"),
+        (lambda: AffineMap(2, BitMatrix.identity(2), 4), "shift out of range"),
+        (lambda: concatenate(BooleanFunction(16, 0), BooleanFunction(16, 0)), "variable limit"),
+        (lambda: parse_function("1:F"), "does not fit 2 bits"),
+    ],
+    ids=[
+        "function-n0", "function-n17", "function-table", "anf-n0", "anf-table", "delta",
+        "apply-affine-n", "affine-shape", "affine-shift", "concatenate", "parse-table",
+    ],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_evaluation_rows_and_monomial_tables_agree():
+    for n in (1, 3, 5):
+        monos = monomials_upto(n, n)
+        # evaluated at every point in order, a monomial's row is its truth table
+        assert evaluation_rows(monos, range(1 << n)) == [monomial_tt(m, n) for m in monos]
+    assert evaluation_rows([0b01, 0b11], [3, 0, 1]) == [0b101, 0b001]

@@ -225,6 +225,22 @@ def test_sweep_negative_trials(capsys):
     assert out == "" and "negative" in err
 
 
+def test_sweep_text_prints_notes(capsys):
+    code, out, _ = run(capsys, "sweep", "carlet-feng", "4", "0")
+    assert code == 0
+    notes = [line for line in out.splitlines() if line.startswith("note: ")]
+    assert len(notes) == 15 and notes[0].startswith("note: offset=0 wt=")
+
+
+def test_sweep_ai_oracle_random_mode_is_refused_above_n5(capsys):
+    # its brute force would walk 2^C(6, <= 3) = 2^42 selections at n = 6
+    code, out, err = run(capsys, "sweep", "ai-oracle", "6", "1")
+    assert code == 2
+    assert out == "" and "random ai-oracle mode supports n <= 5" in err
+    code, out, _ = run(capsys, "sweep", "ai-oracle", "5", "3")
+    assert code == 0 and "checks: 3  failures: 0" in out
+
+
 @pytest.mark.parametrize("suite", ["approximation", "pai-equivalence", "concatenation"])
 def test_sweep_n1_is_refused_up_front(suite, capsys):
     code, out, err = run(capsys, "sweep", suite, "1", "3")

@@ -6,7 +6,6 @@ import pytest
 from faicodes.codes import (
     LinearCode,
     code_from_rows,
-    column_points,
     dual,
     export_code,
     hull_dim,
@@ -20,7 +19,7 @@ from faicodes.codes import (
     shorten,
 )
 from faicodes.f2linalg import BitMatrix
-from faicodes.gf2m import field_new, field_with_modulus
+from faicodes.gf2m import enumerate_points, field_new, field_with_modulus
 
 
 def _full_code(length):
@@ -121,7 +120,7 @@ def test_min_weight():
         for d in range(n + 1):
             assert min_weight(rm(d, n)) == 1 << (n - d)
     with pytest.raises(ValueError):
-        min_weight(LinearCode(4, BitMatrix.zeros(0, 4)))
+        min_weight(LinearCode(4, BitMatrix.from_rows((), 4)))
 
 
 def test_min_weight_high_dimension_path():
@@ -167,13 +166,7 @@ def test_rm_with_custom_field():
     c = rm(1, 3, f)
     assert (c.length, c.dim) == (8, 4)
     # different enumeration, same code parameters; column map is a bijection
-    assert sorted(column_points(3, f)) == list(range(8))
-
-
-def test_column_points_default():
-    pts = column_points(3)
-    assert pts[0] == 0 and pts[1] == 1
-    assert sorted(pts) == list(range(8))
+    assert sorted(enumerate_points(f)) == list(range(8))
 
 
 def test_linear_code_validation():
@@ -186,3 +179,8 @@ def test_rm_cache_serves_explicit_fields():
     assert rm(2, 4, f) is rm(2, 4, field_with_modulus(4, 0x19))
     assert rm(2, 4, field_new(4)) is rm(2, 4)
     assert rm(2, 4, f) != rm(2, 4)  # another point enumeration, another generator
+
+
+def test_rm_rejects_a_field_of_another_degree():
+    with pytest.raises(ValueError, match="field degree"):
+        rm(1, 3, field_new(4))

@@ -1,9 +1,12 @@
 """Every name the faicodes package defines has a caller.
 
-A top-level function or class, or a method that is not a dunder, fails the
-check when no module of the package refers to it (as a bare name or as an
-attribute) and `faicodes.__all__` does not export it.  A helper that only
-the tests call is dead weight: delete it, or call it from the package.
+A top-level function or class fails the check when no module of the package
+refers to it, as a bare name or as an attribute, and `faicodes.__all__`
+does not export it.  A method that is not a dunder fails when no module
+reaches it as an attribute: a local variable of the same name does not
+count, nor does an attribute of an imported outside module (`np.zeros`
+keeps no `zeros` method alive).  A helper that only the tests call is dead
+weight: delete it, or call it from the package.
 """
 
 import ast
@@ -13,45 +16,66 @@ import faicodes
 
 PACKAGE = Path(faicodes.__file__).parent
 
-# the AC-8 fixture in tests/test_acceptance.py scans every n = 4 function with
-# it; it lives beside the sweeps it reuses, but no module of the package calls it
-ALLOWED = {"exhaustive_pai_sets"}
-
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree):
-    """(name, label) of each top-level def or class and each non-dunder method."""
+    """(name, label, is_method) of each top-level def or class and each non-dunder method."""
     for node in tree.body:
         if not isinstance(node, _DEFS):
             continue
-        yield node.name, node.name
+        yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, _DEFS) and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield item.name, f"{node.name}.{item.name}"
+                    yield item.name, f"{node.name}.{item.name}", True
 
 
 def _references(tree):
+    """(bare names, attribute names) the module refers to, minus attributes of imported modules."""
+    external = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            if not (isinstance(node.value, ast.Name) and node.value.id in external):
+                attrs.add(node.attr)
+    return names, attrs
 
 
-def _unreferenced():
-    defined, referenced = {}, set(faicodes.__all__)
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for name, label in _definitions(tree):
-            defined[f"{path.name}: {label}"] = name
-        referenced.update(_references(tree))
-    return {label: name for label, name in defined.items() if name not in referenced}
+def _unreferenced(sources, exported=()):
+    """The labels of the definitions in sources ({file name: text}) that nothing refers to."""
+    defined, names, attrs = {}, set(exported), set()
+    for file_name, text in sources.items():
+        tree = ast.parse(text, file_name)
+        for name, label, is_method in _definitions(tree):
+            defined[f"{file_name}: {label}"] = name, is_method
+        more_names, more_attrs = _references(tree)
+        names |= more_names
+        attrs |= more_attrs
+    return sorted(
+        label for label, (name, is_method) in defined.items()
+        if name not in attrs and (is_method or name not in names)
+    )
 
 
 def test_every_definition_has_a_caller():
-    dead = _unreferenced()
-    assert sorted(label for label, name in dead.items() if name not in ALLOWED) == []
-    # an allowed name that gains a caller or goes away leaves the list
-    assert set(dead.values()) >= ALLOWED
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced(sources, faicodes.__all__) == []
+
+
+def test_a_same_named_variable_or_outside_attribute_keeps_no_method_alive():
+    source = (
+        "import numpy as np\n"
+        "class Grid:\n"
+        "    def zeros(self): ...\n"
+        "    def used(self): ...\n"
+        "def helper():\n"
+        "    zeros = np.zeros(3)\n"
+        "    return Grid().used(), zeros\n"
+    )
+    assert _unreferenced({"m.py": source}, exported=["helper"]) == ["m.py: Grid.zeros"]
+    # one attribute access through a package object does keep it
+    assert _unreferenced({"m.py": source + "helper().zeros\n"}, exported=["helper"]) == []

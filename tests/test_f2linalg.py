@@ -49,15 +49,15 @@ def test_rref_rank_two_example():
 
 
 def test_rank_trivial():
-    assert rank(BitMatrix.zeros(3, 3)) == 0
+    assert rank(BitMatrix.from_rows((0,) * 3, 3)) == 0
     assert rank(BitMatrix.identity(4)) == 4
 
 
 def test_rank_degenerate_shapes():
-    assert rank(BitMatrix.zeros(0, 0)) == 0
-    assert rank(BitMatrix.zeros(0, 4)) == 0
-    assert rank(BitMatrix.zeros(3, 0)) == 0  # zero-width rows
-    assert rank(BitMatrix.zeros(3, 4)) == 0
+    assert rank(BitMatrix.from_rows((), 0)) == 0
+    assert rank(BitMatrix.from_rows((), 4)) == 0
+    assert rank(BitMatrix.from_rows((0,) * 3, 0)) == 0  # zero-width rows
+    assert rank(BitMatrix.from_rows((0,) * 3, 4)) == 0
     assert rank(rows_from_strings("1", "0", "1")) == 1  # one column
     assert rank(rows_from_strings("0", "0")) == 0
 
@@ -166,7 +166,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_zero_matrix_full_space():
-    k = kernel_basis(BitMatrix.zeros(2, 3))
+    k = kernel_basis(BitMatrix.from_rows((0,) * 2, 3))
     assert k.rows == 3
     assert rank(k) == 3
 
@@ -242,7 +242,8 @@ def _solve_preimage_reference(m, y):
 def test_solve_preimage_matches_reference_solution():
     # the same x, not just a valid one: witness_g in the analyze report is this x
     rng = random.Random(0x5E)
-    matrices = [BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 5), BitMatrix.zeros(4, 0), BitMatrix.zeros(3, 6)]
+    shapes = (((), 0), ((), 5), ((0,) * 4, 0), ((0,) * 3, 6))
+    matrices = [BitMatrix.from_rows(rows, cols) for rows, cols in shapes]
     for _ in range(400):
         cols = rng.randrange(1, 12)
         rows = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 16))]
@@ -276,7 +277,7 @@ def test_solve_preimage_target_range():
 
 
 def test_empty_matrix_conventions():
-    empty = BitMatrix.zeros(0, 5)
+    empty = BitMatrix.from_rows((), 5)
     assert rank(empty) == 0
     assert kernel_basis(empty).rows == 5
 
@@ -320,3 +321,18 @@ def test_random_invariants():
         meet = row_space_meet_dim(m, other)
         assert meet >= 0
         assert (rank(stack(m, other)) == rank(m) + rank(other)) == (meet == 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BitMatrix(-1, 2, ()), "negative matrix shape"),
+        (lambda: BitMatrix(2, 2, (0,)), "expected 2 rows, got 1"),
+        (lambda: from_text("# header only\n\n"), "empty matrix text"),
+        (lambda: from_text("2 x\n01\n10\n"), "bad matrix header"),
+    ],
+    ids=["negative-shape", "row-count", "empty-text", "bad-header"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

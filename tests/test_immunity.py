@@ -556,3 +556,9 @@ def test_unfloored_layer_rank_is_truth_table_rank():
         for layer in _layers(f):
             rows = [f.tt & monomial_tt(u, n) for level in monomials_by_degree(n)[: layer.k + 1] for u in level]
             assert layer.rank == rank(BitMatrix.from_rows(rows, 1 << n)), (f, layer.k)
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_mul_space_basis_degree_range(k):
+    with pytest.raises(ValueError, match=f"degree bound {k} out of range 0..3"):
+        mul_space_basis(MAJ3, k)

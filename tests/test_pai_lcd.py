@@ -14,7 +14,7 @@ from faicodes.boolfun import (
 )
 from faicodes.codes import hull_dim, is_lcd, puncture, rm
 from faicodes.f2linalg import rank
-from faicodes.gf2m import field_new, field_with_modulus
+from faicodes.gf2m import enumerate_points, field_new, field_with_modulus
 from faicodes.immunity import ai, fai
 from faicodes.pai_lcd import (
     SupportColumns,
@@ -42,6 +42,14 @@ def test_support_columns_examples():
     ind = BooleanFunction(3, 1 << f.exp[0])
     assert support_columns(ind).cols == frozenset({1})
     assert len(support_columns(MAJ3).cols) == 4
+
+
+def test_support_columns_default_order():
+    # column j is the j-th enumerated point of the default field, each point its own tt index
+    pts = enumerate_points(field_new(3))
+    assert pts[0] == 0 and pts[1] == 1
+    for j, pt in enumerate(pts):
+        assert support_columns(BooleanFunction(3, 1 << pt)).cols == frozenset({j})
 
 
 def test_function_from_columns_roundtrip():
@@ -265,3 +273,18 @@ def test_corrected_lcd_equivalence_random_n5():
         f = random_nonconstant(5, rng)
         v = fai(f).value
         assert is_pai_via_lcd(f) == (v >= 5 and degree(f) >= 4)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ai_exceeds_via_dims(MAJ3, 0), "order 0 out of range 1..3"),
+        (lambda: ai_exceeds_via_dims(MAJ3, 4), "order 4 out of range 1..3"),
+        (lambda: fai_at_least_via_codes(BooleanFunction(3, 0), 2), "zero function"),
+        (lambda: is_pai_via_lcd(BooleanFunction(3, 0)), "nonzero function"),
+    ],
+    ids=["dims-order-low", "dims-order-high", "codes-zero", "lcd-zero"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
