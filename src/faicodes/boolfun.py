@@ -23,14 +23,13 @@ MAX_VARS = 16
 @lru_cache(maxsize=None)
 def _butterfly_masks(n: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) pairs for the in-place radix-2 Möbius passes on 2^n bits."""
-    size = 1 << n
-    all_ones = (1 << size) - 1
     out = []
     for i in range(n):
         step = 1 << i
-        period = step << 1
-        # low half of every 2*step block
-        mask = all_ones // ((1 << period) - 1) * ((1 << step) - 1)
+        mask, width = (1 << step) - 1, step << 1  # the low half of one 2*step block
+        while width < 1 << n:  # doubled up to every 2*step block of the 2^n bits
+            mask |= mask << width
+            width <<= 1
         out.append((step, mask))
     return tuple(out)
 

@@ -15,8 +15,6 @@ from functools import lru_cache
 from math import comb, inf
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .boolfun import (
     Anf,
     BooleanFunction,
@@ -25,14 +23,13 @@ from .boolfun import (
     complement,
     format_anf,
     format_function,
-    high_degree_masks,
     mobius,
     monomial_sum,
     monomial_tt,
     monomials_by_degree,
     monomials_upto,
 )
-from .f2linalg import BitMatrix, insert, rref, solve_preimage
+from .f2linalg import BitMatrix, combine, insert, rref, solve_preimage, transpose
 
 logger = logging.getLogger(__name__)
 
@@ -428,24 +425,19 @@ def is_pai(f: BooleanFunction) -> bool:
 # --- independent brute-force oracle -----------------------------------------
 
 
-_DIRECT_BLOCK_BITS = 14  # 2^14 uint32 ANFs: 64 KiB per buffer
-_NO_TOTAL = 127  # int8 stand-in for an excluded selector, above every deg(g) + deg(f*g) <= 2n
-
-
 def fai_direct(f: BooleanFunction) -> int:
     """Exhaustive FAI over all g with deg(g) <= max(1, floor(n/2)), for n <= 5.
 
     The degree bound is sound because any optimal witness g has
     deg(g) <= floor(FAI/2) <= floor(n/2) (with a floor of 1 so the range is
-    never empty); at n = 5 that leaves 2^16 choices of g.  Vectorized over
-    every coefficient choice, each product's ANF built by linearity from
-    those of the products f*m.
+    never empty); at n = 5 that leaves 2^16 choices of g.
 
-    The choices run in blocks of 2^_DIRECT_BLOCK_BITS selectors through
-    arrays allocated once per call, each under 128 KiB, so that malloc
-    serves them from its heap: arrays of all 2^16 choices would be mapped
-    fresh and page-faulted in on every call, at a cost that varies with the
-    host's memory traffic.
+    Bit-sliced over the choices: bit s of each int below belongs to selector
+    s, the g that sums monos[t] over the set bits t of s, so selector 0 is
+    g = 0 and selector 1 is g = 1.  g -> anf(f*g) is linear, so ANF bit b of
+    every product at once is the XOR of picks[t] over the products f*m_t that
+    have bit b.  ORed by degree, then from the top degree down, g_deg[d] and
+    p_deg[d] hold the selectors whose g and f*g have degree >= d.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
@@ -454,54 +446,22 @@ def fai_direct(f: BooleanFunction) -> int:
         raise ValueError("direct search supports n <= 5 (search-space guard)")
     eff = max(1, n // 2)
     monos = monomials_upto(n, eff)
-
-    g_deg = _g_table(n, eff)
-    # g -> anf(f*g) is linear: selector s = 2^t + r gives the ANF of r's product plus f*m_t's,
-    # and s = (hi << low) + lo gives the ANF of lo's product plus hi's
-    prods = [mobius(f.tt & monomial_tt(m, n), n) for m in monos]
-    low = min(len(monos), _DIRECT_BLOCK_BITS)
-    anf_low = np.zeros(1 << low, dtype=np.uint32)  # ANFs of n <= 5 variables have 2^n <= 32 bits
-    for t in range(low):
-        anf_low[1 << t : 2 << t] = anf_low[: 1 << t] ^ np.uint32(prods[t])
-    anf_high = [0]
-    for p in prods[low:]:
-        anf_high += [a ^ p for a in anf_high]
-    highs = [np.uint32(high) for high in high_degree_masks(n)[:n]]
-
-    anf, hit = np.empty_like(anf_low), np.empty_like(anf_low)
-    totals = np.empty(anf.shape, dtype=np.int8)
-    flags = np.empty(anf.shape, dtype=bool)
-    best = _NO_TOTAL
-    for hi, a in enumerate(anf_high):
-        np.bitwise_xor(anf_low, np.uint32(a), out=anf)
-        np.copyto(totals, g_deg[hi << low : (hi + 1) << low])
-        for high in highs:  # deg(f*g) counts the masks of degree > d, d < n, that the ANF meets
-            np.bitwise_and(anf, high, out=hit)
-            np.not_equal(hit, 0, out=flags)
-            totals += flags
-        np.equal(anf, 0, out=flags)  # excluded: f*g is nonzero iff its ANF is; this drops selector 0, g = 0
-        if hi == 0:
-            flags[1] = True  # selector 1 picks only the constant monomial: g = 1
-        np.putmask(totals, flags, _NO_TOTAL)
-        best = min(best, int(totals.min()))
-    if best == _NO_TOTAL:
-        raise AssertionError("no admissible g found; the degree bound argument fails")
-    return best
-
-
-@lru_cache(maxsize=8)
-def _g_table(n: int, eff: int) -> np.ndarray:
-    """deg(g) of every g with deg(g) <= eff, indexed by selector, read-only.
-
-    Selector bit t picks the t-th monomial in degree order, so selector 0 is
-    g = 0, selector 1 is g = 1, and the top set bit picks the highest degree.
-    """
-    monos = monomials_upto(n, eff)
-    g_deg = np.zeros(1 << len(monos), dtype=np.int8)
-    for t, m in enumerate(monos):
-        g_deg[1 << t : 2 << t] = m.bit_count()
-    g_deg.flags.writeable = False
-    return g_deg
+    picks = [monomial_tt(1 << t, len(monos)) for t in range(len(monos))]  # the selectors with bit t
+    prods = BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
+    g_deg, p_deg = [0] * (eff + 2), [0] * (n + 2)
+    for m, pick in zip(monos, picks):
+        g_deg[m.bit_count()] |= pick
+    for b, column in enumerate(transpose(prods).data):
+        p_deg[b.bit_count()] |= combine(column, picks)
+    for masks in g_deg, p_deg:
+        for d in range(len(masks) - 2, -1, -1):
+            masks[d] |= masks[d + 1]
+    admissible = p_deg[0] & ~2  # a nonzero product (so not g = 0), and not selector 1, g = 1
+    for total in range(1, eff + n + 1):
+        for a in range(max(0, total - n), min(total, eff) + 1):
+            if admissible & ~g_deg[a + 1] & ~p_deg[total - a + 1]:
+                return total
+    raise AssertionError("no admissible g found; the degree bound argument fails")
 
 
 def function_report(f: BooleanFunction) -> dict:

@@ -156,6 +156,8 @@ def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
 
 
 def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
+    if n < 1:
+        raise ValueError("f2linalg sweep needs n >= 1")
     rep = SweepReport("f2linalg", n, trials, seed)
     rng = random.Random(seed)
     cols = max(2, n)
@@ -448,6 +450,8 @@ def sweep_concatenation(n: int, trials: int, seed: int) -> SweepReport:
 
 def sweep_codes(n: int, trials: int, seed: int) -> SweepReport:
     """n is the largest RM variable count exercised (>= 2)."""
+    if n < 2:
+        raise ValueError("codes sweep needs n >= 2")
     rep = SweepReport("codes", n, trials, seed)
     rng = random.Random(seed)
     for nn in range(2, n + 1):
@@ -575,11 +579,11 @@ def _has_annihilator_bruteforce(f: BooleanFunction, e: int) -> bool:
 
 
 def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
-    """trials = 0 runs every non-constant function (n <= 3)."""
+    """trials = 0 runs every non-constant function (1 <= n <= 3)."""
     rep = SweepReport("fai-oracle", n, trials, seed)
     if trials == 0:
-        if n > 3:
-            raise ValueError("exhaustive fai-oracle mode is wired for n <= 3")
+        if not 1 <= n <= 3:
+            raise ValueError(f"exhaustive fai-oracle mode is wired for 1 <= n <= 3, got n = {n}")
         functions = (BooleanFunction(n, tt) for tt in range(1, (1 << (1 << n)) - 1))
     else:
         rng = random.Random(seed)
@@ -628,6 +632,7 @@ def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
 
 def sweep_carlet_feng(n: int, trials: int, seed: int) -> SweepReport:
     """Certificates for the m = 2^(n-1) candidate supports at every offset."""
+    carlet_feng_support(n)  # refuses a bad n up front: at n <= 0 the offset loop would check nothing
     rep = SweepReport("carlet-feng", n, trials, seed)
     order = (1 << n) - 1
     for offset in range(order):

@@ -248,6 +248,24 @@ def test_sweep_n1_is_refused_up_front(suite, capsys):
     assert out == "" and f"{suite} sweep needs n >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fai-oracle", "0", "0"), "exhaustive fai-oracle mode is wired for 1 <= n <= 3, got n = 0"),
+        (("fai-oracle", "-2", "0"), "exhaustive fai-oracle mode is wired for 1 <= n <= 3, got n = -2"),
+        (("carlet-feng", "0", "0"), "n = 0 is neither 2^t nor 2^t + 1"),
+        (("codes", "1", "0"), "codes sweep needs n >= 2"),
+        (("codes", "-3", "2"), "codes sweep needs n >= 2"),
+        (("f2linalg", "-5", "2"), "f2linalg sweep needs n >= 1"),
+    ],
+)
+def test_sweep_n_out_of_range_is_refused_up_front(argv, message, capsys):
+    """Each would otherwise pass with no checks, run at a nonsense n, or die on a negative shift."""
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_pai_verify_requires_argument(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pai-verify"])

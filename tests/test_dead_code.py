@@ -7,6 +7,10 @@ reaches it as an attribute: a local variable of the same name does not
 count, nor does an attribute of an imported outside module (`np.zeros`
 keeps no `zeros` method alive).  A helper that only the tests call is dead
 weight: delete it, or call it from the package.
+
+A module-level import fails when the importing module never refers to the
+name it binds; `__init__.py`, whose imports are the package's re-exports,
+and `from __future__` imports are exempt.
 """
 
 import ast
@@ -79,3 +83,43 @@ def test_a_same_named_variable_or_outside_attribute_keeps_no_method_alive():
     assert _unreferenced({"m.py": source}, exported=["helper"]) == ["m.py: Grid.zeros"]
     # one attribute access through a package object does keep it
     assert _unreferenced({"m.py": source + "helper().zeros\n"}, exported=["helper"]) == []
+
+
+def _unused_imports(sources):
+    """The labels of the module-level imports in sources ({file name: text}) whose module never uses them."""
+    unused = []
+    for file_name, text in sources.items():
+        if file_name == "__init__.py":
+            continue
+        tree = ast.parse(text, file_name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{file_name}: {name}" for name in bound if name not in used]
+    return sorted(unused)
+
+
+def test_every_import_is_used():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unused_imports(sources) == []
+
+
+def test_an_unused_import_is_caught_and_re_exports_are_not():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from math import comb, inf as INF\n"
+        "def helper(x: np.ndarray) -> int:\n"
+        "    return comb(3, 2) + len(xml.dom.__name__)\n"
+    )
+    assert _unused_imports({"m.py": source, "__init__.py": "from .m import helper\n"}) == [
+        "m.py: INF",
+        "m.py: os",
+    ]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -28,7 +29,6 @@ from faicodes.immunity import (
     _benes,
     _best_layer,
     _degree_order,
-    _g_table,
     _layers,
     _least_total,
     _permute,
@@ -292,26 +292,28 @@ def test_function_report_matches_public_calls():
         assert rec.get("profile_bound") == (res.profile_bound if res.diverged else None)
 
 
-def test_fai_direct_table_is_cached_read_only():
-    f = parse_function("5:B41365B6")
-    first = fai_direct(f)
-    g_deg = _g_table(5, 2)
-    assert _g_table(5, 2) is g_deg
-    assert not g_deg.flags.writeable
-    assert fai_direct(f) == first == fai(f).value
-
-
 def test_fai_direct_buffers_stay_small():
-    """No array over all 2^16 choices at n = 5: malloc would map and fault it in on every call."""
+    """The bit-sliced ints stay few at n = 5, each 8 KiB: under malloc's mmap threshold, no page faults."""
     f = parse_function("5:B41365B6")
-    expected = fai_direct(f)  # builds the cached deg(g) table outside the measurement
+    expected = fai_direct(f)  # caches the selector columns monomial_tt(1 << t, 16) outside the measurement
     tracemalloc.start()
     try:
         assert fai_direct(f) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (1 << 16) * 4, peak  # one uint32 ANF per choice
+    assert peak < (1 << 16) * 4, peak  # 256 KiB, what one uint32 ANF per choice would take
+
+
+def test_fai_direct_matches_fai_on_extreme_weights_n5():
+    """Every n = 5 function of weight <= 2 or >= 30, the 32 singletons (FAI = n + 1 = 6) among them."""
+    values = []
+    for weight in (1, 2, 30, 31, 32):
+        for points in itertools.combinations(range(32), weight):
+            f = BooleanFunction(5, sum(1 << x for x in points))
+            values.append(fai(f).value)
+            assert fai_direct(f) == values[-1], f
+    assert len(values) == 1057 and values.count(6) == 32
 
 
 def _two_sided_cases():
