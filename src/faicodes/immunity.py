@@ -13,14 +13,14 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .boolfun import (
     Anf,
     BooleanFunction,
     anf_degree,
-    anf_of,
     complement,
+    degree,
     format_anf,
     format_function,
     mobius,
@@ -138,18 +138,17 @@ def ai(f: BooleanFunction) -> int:
     return _first_dependency(f.n, (f.tt, f.tt ^ ((1 << f.size) - 1)))
 
 
+def _products(f: BooleanFunction, monos: Sequence[int]) -> BitMatrix:
+    """The ANFs of f*m, one 2^n-bit row per monomial m of monos, in order."""
+    n = f.n
+    return BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
+
+
 def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
     """RREF basis of span{anf(f*m) : m a monomial of degree <= k}, as 2^n-bit rows."""
     if not 0 <= k <= f.n:
         raise ValueError(f"degree bound {k} out of range 0..{f.n}")
-    n = f.n
-    rows = []
-    for m in monomials_upto(n, k):
-        prod = f.tt & monomial_tt(m, n)
-        if prod:
-            rows.append(mobius(prod, n))
-    reduced, _ = rref(BitMatrix.from_rows(rows, 1 << n))
-    return reduced
+    return rref(_products(f, monomials_upto(f.n, k)))[0]
 
 
 # --- degree-ordered elimination engine -------------------------------------
@@ -233,21 +232,6 @@ def _degree_order(n: int) -> _DegreeOrder:
     return _DegreeOrder(network, network[::-1], tuple(m.bit_count() for m in masks))
 
 
-def _admissible_mu(
-    rows: list[tuple[int, int]], anf_f_perm: int, annihilators_ok: bool
-) -> tuple[int | None, int | None]:
-    """(mu', witness product row) under the g not-in {0,1} exclusion.
-
-    rows are the basis rows as (degree, permuted row) pairs, sorted by degree.
-    A None witness row with a non-None mu' means the product f itself,
-    reachable via 1 + annihilator.
-    """
-    other = next(((deg, row) for deg, row in rows if row != anf_f_perm), (None, None))
-    if annihilators_ok and rows and other[0] != rows[0][0]:
-        return rows[0][0], None  # only f sits at the minimum; 1 + annihilator reaches it
-    return other
-
-
 class _Layer(NamedTuple):
     """The product basis of f once every monomial of degree <= k is in.
 
@@ -272,6 +256,13 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     every further product is dependent: the pass stops inserting, and the
     later layers repeat the last one.
 
+    Each layer reads the lowest one or two basis rows.  The lowest has degree
+    mu_k; unless it is f, it is also the witness of mu'_k = mu_k.  If it is f
+    and the next row has degree mu_k too, that row is the witness.  If it is f
+    alone there, every product below the next row's degree is 0 or f: mu'_k
+    is mu_k, through g = 1 + an annihilator, when lda(f) <= k, and the next
+    row's degree otherwise.
+
     floor, when given, is lda(1+f), which bounds every mu_k from below (a
     nonzero f*g annihilates 1+f); a layer under it raises AssertionError.
     mu and mu' never rise, so from the first layer with mu'_k == floor on,
@@ -282,18 +273,16 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     n = f.n
     weight = f.tt.bit_count()
     to_degree, _, deg_at = _degree_order(n)
-    # slots[p + 1] holds the basis row led by degree-ordered bit p, so the slots list the
-    # rows by degree; slots[0] stays 0, and insert's loop ends on it once a row reduces to 0
+    # slots[p + 1] holds the basis row led by degree-ordered bit p, so the nonzero slots list
+    # the rows by degree; slots[0] stays 0, and insert's loop ends on it once a row reduces to 0
     slots = [0] * ((1 << n) + 1)
     rank = 0
     anf_f_perm = _permute(mobius(f.tt, n), to_degree)
     lda_f: int | None = None
-    layer: _Layer | None = None
     settled = False  # by the floor
     for k, level in enumerate(monomials_by_degree(n)):
-        full = settled or rank == weight
         for m in level:
-            if full or rank == weight:
+            if settled or rank == weight:
                 if lda_f is None:
                     lda_f = k
                 break
@@ -301,17 +290,24 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
                 rank += 1
             elif lda_f is None:
                 lda_f = k
-        if k:
-            if not (full and layer is not None and layer.lda == lda_f):
-                rows = [(deg_at[p - 1], row) for p, row in enumerate(slots) if row]
-                mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_f is not None)
-                layer = _Layer(k, rows[0][0] if rows else None, mu_adm, row, lda_f, rank)
-                if floor is not None:
-                    if layer.mu < floor:
-                        raise AssertionError("a product of f has degree below lda(1+f)")
-                    # lda(f) unknown: the rank products so far are independent
-                    settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
-            yield layer._replace(k=k)
+        if not k:
+            continue
+        rows = filter(None, slots)
+        row = next(rows, None)
+        mu = mu_adm = None if row is None else deg_at[row.bit_length() - 1]
+        if row == anf_f_perm:
+            row = next(rows, None)
+            above = None if row is None else deg_at[row.bit_length() - 1]
+            if lda_f is not None and above != mu:
+                row = None  # only f sits at mu_k
+            else:
+                mu_adm = above
+        if floor is not None:
+            if mu < floor:
+                raise AssertionError("a product of f has degree below lda(1+f)")
+            # lda(f) unknown: the rank products so far are independent
+            settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
+        yield _Layer(k, mu, mu_adm, row, lda_f, rank)
 
 
 def _best_layer(layers: Iterable[_Layer]) -> _Layer:
@@ -370,8 +366,7 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
     else:
         v_anf = _permute(layer.row, _degree_order(n).from_degree)
         monos = monomials_upto(n, k)
-        matrix = BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
-        combo = solve_preimage(matrix, v_anf)
+        combo = solve_preimage(_products(f, monos), v_anf)
         if combo is None:
             raise AssertionError("admissible product is outside the product span")
         g_coeffs = monomial_sum(combo, monos)
@@ -447,11 +442,10 @@ def fai_direct(f: BooleanFunction) -> int:
     eff = max(1, n // 2)
     monos = monomials_upto(n, eff)
     picks = [monomial_tt(1 << t, len(monos)) for t in range(len(monos))]  # the selectors with bit t
-    prods = BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
     g_deg, p_deg = [0] * (eff + 2), [0] * (n + 2)
     for m, pick in zip(monos, picks):
         g_deg[m.bit_count()] |= pick
-    for b, column in enumerate(transpose(prods).data):
+    for b, column in enumerate(transpose(_products(f, monos)).data):
         p_deg[b.bit_count()] |= combine(column, picks)
     for masks in g_deg, p_deg:
         for d in range(len(masks) - 2, -1, -1):
@@ -480,7 +474,7 @@ def function_report(f: BooleanFunction) -> dict:
     record = {
         "tt": format_function(f),
         "n": f.n,
-        "deg": anf_of(f).degree(),
+        "deg": degree(f),
         "wt": f.tt.bit_count(),
         "ai": min(v for v in (lda_f, lda_fc) if v is not None),
         "lda_f": lda_f,

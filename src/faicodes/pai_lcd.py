@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .boolfun import (
     BooleanFunction,
-    anf_of,
+    degree,
     format_function,
     high_degree_masks,
     monomial_tt,
@@ -96,7 +96,7 @@ def fai_at_least_via_codes(f: BooleanFunction, s: int) -> bool:
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
-    if anf_of(f).degree() < s - 1:
+    if degree(f) < s - 1:
         raise ValueError(f"degree hypothesis violated: deg(f) < {s - 1}")
     n = f.n
     comp = support_columns(f).complement()
@@ -206,7 +206,7 @@ def pai_certificate(f: BooleanFunction) -> dict:
         "tt": format_function(f),
         "n": n,
         "wt": wt,
-        "deg": anf_of(f).degree(),
+        "deg": degree(f),
         "fai": value,
         "pai_by_def": by_def,
         "pai_by_lcd": by_lcd,

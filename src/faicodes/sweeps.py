@@ -2,7 +2,9 @@
 
 Every suite takes (n, trials, seed) and returns a SweepReport whose failure
 messages carry a counterexample in the n:HEX function format.  trials = 0
-asks for the exhaustive variant where one exists.
+asks for the exhaustive variant where one exists.  Each suite starts with
+`_start`, which refuses a negative trial count or an n outside the suite's
+range before any work.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .codes import (
     shorten,
 )
 from .f2linalg import BitMatrix, gram, kernel_basis, mul, rank, row_space_meet_dim, rref, solve_preimage
+from .gf2m import MAX_DEGREE, MIN_DEGREE
 from .immunity import (
     ai,
     fai,
@@ -95,6 +98,23 @@ class SweepReport:
             self.failures.append(f"{prop}: {detail() if callable(detail) else detail}")
 
 
+def _start(
+    suite: str, n: int, trials: int, seed: int, lo: int = 1, hi: int | None = None, what: str = ""
+) -> tuple[SweepReport, random.Random]:
+    """The suite's empty report and its seeded generator, once trials >= 0 and lo <= n <= hi.
+
+    what names the refused run in the messages (default: the suite's sweep).
+    """
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative (0 asks for the exhaustive variant)")
+    what = what or f"{suite} sweep"
+    if n < lo:
+        raise ValueError(f"{what} needs n >= {lo}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{what} supports n <= {hi}")
+    return SweepReport(suite, n, trials, seed), random.Random(seed)
+
+
 def _fmt(f: BooleanFunction) -> str:
     return format_function(f)
 
@@ -108,8 +128,7 @@ def _all_ones(n: int) -> int:
 
 def sweep_mobius_algebra(n: int, trials: int, seed: int) -> SweepReport:
     """Möbius involution and pointwise algebra; each trial transforms each function once."""
-    rep = SweepReport("mobius-algebra", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("mobius-algebra", n, trials, seed)
     all_ones = _all_ones(n)
     for _ in range(trials):
         f = random_function(n, rng)
@@ -156,10 +175,7 @@ def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
 
 
 def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
-    if n < 1:
-        raise ValueError("f2linalg sweep needs n >= 1")
-    rep = SweepReport("f2linalg", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("f2linalg", n, trials, seed)
     cols = max(2, n)
     for _ in range(trials):
         m = _random_matrix(rng, rng.randrange(1, 2 * cols), cols)
@@ -240,8 +256,7 @@ def _diverged_class_ok(f: BooleanFunction, bound: int) -> bool:
 
 
 def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
-    rep = SweepReport("fai-bounds", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("fai-bounds", n, trials, seed)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
         fc = complement(f)
@@ -302,8 +317,7 @@ def sweep_fai_bounds(n: int, trials: int, seed: int) -> SweepReport:
 
 
 def sweep_affine_invariance(n: int, trials: int, seed: int) -> SweepReport:
-    rep = SweepReport("affine-invariance", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("affine-invariance", n, trials, seed)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
         base_profile = profile(f).mu
@@ -333,10 +347,7 @@ def _random_low_weight(n: int, max_weight: int, rng: random.Random) -> BooleanFu
 
 
 def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
-    if n < 2:
-        raise ValueError("approximation sweep needs n >= 2")
-    rep = SweepReport("approximation", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("approximation", n, trials, seed, lo=2)
     linear_tts = [_linear_tt(a, n) for a in range(1, 1 << n)]
     for _ in range(trials):
         f = random_nonconstant(n, rng)
@@ -413,10 +424,7 @@ def _linear_tt(a: int, n: int) -> int:
 
 
 def sweep_concatenation(n: int, trials: int, seed: int) -> SweepReport:
-    if n < 2:
-        raise ValueError("concatenation sweep needs n >= 2")
-    rep = SweepReport("concatenation", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("concatenation", n, trials, seed, lo=2)
     for _ in range(trials):
         f0 = random_nonconstant(n - 1, rng)
         f1 = random_nonconstant(n - 1, rng)
@@ -449,11 +457,8 @@ def sweep_concatenation(n: int, trials: int, seed: int) -> SweepReport:
 
 
 def sweep_codes(n: int, trials: int, seed: int) -> SweepReport:
-    """n is the largest RM variable count exercised (>= 2)."""
-    if n < 2:
-        raise ValueError("codes sweep needs n >= 2")
-    rep = SweepReport("codes", n, trials, seed)
-    rng = random.Random(seed)
+    """n is the largest RM variable count exercised, within the field module's range."""
+    rep, rng = _start("codes", n, trials, seed, lo=MIN_DEGREE, hi=MAX_DEGREE)
     for nn in range(2, n + 1):
         for d in range(nn + 1):
             c = rm(d, nn)
@@ -547,18 +552,15 @@ def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
     The random mode enumerates every g of degree <= e, 2^C(n, <= e) of them,
     so it is refused above n = 5: at n = 6, e = 3 alone means 2^42.
     """
-    rep = SweepReport("ai-oracle", n, trials, seed)
+    if trials == 0 and n != 4:
+        raise ValueError("exhaustive ai-oracle mode is wired for n = 4")
+    rep, rng = _start("ai-oracle", n, trials, seed, hi=5, what="random ai-oracle mode")
     if trials == 0:
-        if n != 4:
-            raise ValueError("exhaustive ai-oracle mode is wired for n = 4")
         table = _brute_ai_table_n4()
         for tt in range(1 << 16):
             f = BooleanFunction(4, tt)
             rep.check(ai(f) == int(table[tt]), "ai-matches-bruteforce", lambda: _fmt(f))
     else:
-        if n > 5:
-            raise ValueError("random ai-oracle mode supports n <= 5 (search-space guard)")
-        rng = random.Random(seed)
         for _ in range(trials):
             f = random_function(n, rng)
             got = ai(f)
@@ -579,14 +581,13 @@ def _has_annihilator_bruteforce(f: BooleanFunction, e: int) -> bool:
 
 
 def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
-    """trials = 0 runs every non-constant function (1 <= n <= 3)."""
-    rep = SweepReport("fai-oracle", n, trials, seed)
+    """trials = 0 runs every non-constant function (1 <= n <= 3); the random mode stops where fai_direct does."""
+    if trials == 0 and not 1 <= n <= 3:
+        raise ValueError(f"exhaustive fai-oracle mode is wired for 1 <= n <= 3, got n = {n}")
+    rep, rng = _start("fai-oracle", n, trials, seed, hi=5, what="random fai-oracle mode")
     if trials == 0:
-        if not 1 <= n <= 3:
-            raise ValueError(f"exhaustive fai-oracle mode is wired for 1 <= n <= 3, got n = {n}")
         functions = (BooleanFunction(n, tt) for tt in range(1, (1 << (1 << n)) - 1))
     else:
-        rng = random.Random(seed)
         functions = (random_nonconstant(n, rng) for _ in range(trials))
     for f in functions:
         res = fai(f)
@@ -600,10 +601,7 @@ def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
 
 
 def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
-    if n < 2:
-        raise ValueError("pai-equivalence sweep needs n >= 2")
-    rep = SweepReport("pai-equivalence", n, trials, seed)
-    rng = random.Random(seed)
+    rep, rng = _start("pai-equivalence", n, trials, seed, lo=2)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
         a = ai(f)
@@ -633,7 +631,7 @@ def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
 def sweep_carlet_feng(n: int, trials: int, seed: int) -> SweepReport:
     """Certificates for the m = 2^(n-1) candidate supports at every offset."""
     carlet_feng_support(n)  # refuses a bad n up front: at n <= 0 the offset loop would check nothing
-    rep = SweepReport("carlet-feng", n, trials, seed)
+    rep, _ = _start("carlet-feng", n, trials, seed)
     order = (1 << n) - 1
     for offset in range(order):
         sc = carlet_feng_support(n, offset)

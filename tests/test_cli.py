@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import faicodes
+import faicodes.sweeps as sweeps
 from faicodes.cli import build_parser, main
+from faicodes.sweeps import SUITES
 
 SRC = str(Path(faicodes.__file__).resolve().parents[1])
 
@@ -257,6 +259,12 @@ def test_sweep_n1_is_refused_up_front(suite, capsys):
         (("codes", "1", "0"), "codes sweep needs n >= 2"),
         (("codes", "-3", "2"), "codes sweep needs n >= 2"),
         (("f2linalg", "-5", "2"), "f2linalg sweep needs n >= 1"),
+        (("mobius-algebra", "-1", "2"), "mobius-algebra sweep needs n >= 1"),
+        (("fai-bounds", "-1", "2"), "fai-bounds sweep needs n >= 1"),
+        (("affine-invariance", "-1", "2"), "affine-invariance sweep needs n >= 1"),
+        (("ai-oracle", "-1", "2"), "random ai-oracle mode needs n >= 1"),
+        (("fai-oracle", "-1", "2"), "random fai-oracle mode needs n >= 1"),
+        (("fai-oracle", "6", "1"), "random fai-oracle mode supports n <= 5"),
     ],
 )
 def test_sweep_n_out_of_range_is_refused_up_front(argv, message, capsys):
@@ -264,6 +272,29 @@ def test_sweep_n_out_of_range_is_refused_up_front(argv, message, capsys):
     code, out, err = run(capsys, "sweep", *argv)
     assert code == 2
     assert out == "" and message in err
+
+
+def _must_not_run(*args):
+    raise AssertionError("a range check let the sweep start its work")
+
+
+def test_sweep_codes_refuses_n17_before_building_a_code(monkeypatch):
+    # the field module stops at n = 16, after codes for every smaller n were built
+    monkeypatch.setattr(sweeps, "rm", _must_not_run)
+    with pytest.raises(ValueError, match="codes sweep supports n <= 16"):
+        sweeps.sweep_codes(17, 0, 0)
+
+
+def test_sweep_fai_oracle_refuses_n6_before_any_fai(monkeypatch):
+    monkeypatch.setattr(sweeps, "fai", _must_not_run)
+    with pytest.raises(ValueError, match="random fai-oracle mode supports n <= 5"):
+        sweeps.sweep_fai_oracle(6, 1, 0)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_refuses_a_negative_trial_count(suite):
+    with pytest.raises(ValueError, match="trial count -1 is negative"):
+        SUITES[suite](4, -1, 0)
 
 
 def test_pai_verify_requires_argument(capsys):

@@ -417,6 +417,50 @@ def test_floor_stopped_pass_matches_full_pass(monkeypatch):
     assert counts["floor"] < counts["full"], counts
 
 
+def _admissible_mu(rows, anf_f_perm, annihilators_ok):
+    """Reference readout: (mu', witness row) from the basis rows as (degree, row) pairs, by degree.
+
+    A None row with a non-None mu' means the product f itself, reached through 1 + annihilator.
+    """
+    other = next(((deg, row) for deg, row in rows if row != anf_f_perm), (None, None))
+    if annihilators_ok and rows and other[0] != rows[0][0]:
+        return rows[0][0], None  # only f sits at the minimum
+    return other
+
+
+def _readout_cases():
+    """Every function at n <= 3, then seeded n = 4..11: dense, sparse, and weight 1, 2 and 2^n - 2."""
+    yield from _functions(3, (), 0, seed=0)
+    rng = random.Random(26)
+    for n in range(4, 12):
+        size = 1 << n
+        yield BooleanFunction(n, rng.getrandbits(size))
+        yield BooleanFunction(n, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size))
+        for w in (1, 2, size - 2):
+            yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(size), w)))
+
+
+def test_layer_readout_matches_list_reference(monkeypatch):
+    # the pass's own basis, caught as insert fills it, read as the whole (degree, row) list
+    basis = []
+    monkeypatch.setattr(immunity, "insert", lambda slots, row: basis.append(slots) or insert(slots, row))
+    for f in _readout_cases():
+        if f.tt == 0:
+            continue
+        n = f.n
+        to_degree, _, deg_at = _degree_order(n)
+        anf_f_perm = _permute(anf_of(f).coeffs, to_degree)
+        lda_f = lda(f)
+        for floor in (None, lda(complement(f))):
+            del basis[:]
+            for k, layer in enumerate(_layers(f, floor), start=1):  # read each layer as it is yielded
+                rows = [(deg_at[p - 1], row) for p, row in enumerate(basis[-1]) if row]
+                lda_k = lda_f if lda_f is not None and lda_f <= k else None
+                mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_k is not None)
+                assert layer == (k, rows[0][0], mu_adm, row, lda_k, len(rows)), (f, floor)
+            assert k == n, (f, floor)
+
+
 def _fai_direct_butterfly(f):
     """Reference: the product truth tables g*f of every g, one vectorized butterfly to ANF."""
     n = f.n
