@@ -10,6 +10,7 @@ Conventions (fixed across the whole package):
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
@@ -266,15 +267,19 @@ def interpolate_low_degree(
     return None if combo is None else Anf(n, monomial_sum(combo, monos))
 
 
+def _is_decimal(text: str) -> bool:
+    """True iff text is one or more ASCII digits: int() would also take a sign, spaces and '_'."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_function(spec: str) -> BooleanFunction:
     """Parse 'n:HEX' (tt, point 0 = LSB) or 'n:{i1,i2,...}' (support list)."""
     head, sep, body = spec.partition(":")
     if not sep:
         raise ValueError(f"bad function spec {spec!r}: expected 'n:HEX' or 'n:{{...}}'")
-    try:
-        n = int(head)
-    except ValueError as exc:
-        raise ValueError(f"bad variable count in {spec!r}") from exc
+    if not _is_decimal(head):
+        raise ValueError(f"bad variable count in {spec!r}")
+    n = int(head)
     if not 1 <= n <= MAX_VARS:
         raise ValueError(f"variable count {n} out of range 1..{MAX_VARS}")
     if body.startswith("{"):
@@ -284,10 +289,9 @@ def parse_function(spec: str) -> BooleanFunction:
         tt = 0
         if inner:
             for tok in inner.split(","):
-                try:
-                    pt = int(tok)
-                except ValueError as exc:
-                    raise ValueError(f"bad support point {tok!r} in {spec!r}") from exc
+                if not _is_decimal(tok.strip()):
+                    raise ValueError(f"bad support point {tok!r} in {spec!r}")
+                pt = int(tok)
                 if not 0 <= pt < (1 << n):
                     raise ValueError(f"support point {pt} out of range in {spec!r}")
                 tt |= 1 << pt
@@ -295,10 +299,9 @@ def parse_function(spec: str) -> BooleanFunction:
     want = ((1 << n) + 3) // 4
     if len(body) != want:
         raise ValueError(f"bad hex length in {spec!r}: expected {want} digits")
-    try:
-        tt = int(body, 16)
-    except ValueError as exc:
-        raise ValueError(f"bad hex digits in {spec!r}") from exc
+    if set(body) - set(string.hexdigits):
+        raise ValueError(f"bad hex digits in {spec!r}")
+    tt = int(body, 16)
     if tt >> (1 << n):
         raise ValueError(f"truth table in {spec!r} does not fit {1 << n} bits")
     return BooleanFunction(n, tt)

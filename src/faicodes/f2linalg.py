@@ -129,16 +129,10 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     """Basis of {x : m @ x^T = 0}, one kernel vector per row (cols bits each)."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    basis = []
-    for c in range(m.cols):
-        if c in pivot_set:
-            continue
-        vec = 1 << c
-        for i, p in enumerate(pivots):
-            if red.data[i] & (1 << c):
-                vec |= 1 << p
-        basis.append(vec)
-    return BitMatrix.from_rows(basis, m.cols)
+    pivot_bits = [1 << p for p in pivots]  # row i of red leads at pivots[i]
+    columns = transpose(red).data
+    free = (c for c in range(m.cols) if c not in pivot_set)
+    return BitMatrix.from_rows((1 << c | combine(columns[c], pivot_bits) for c in free), m.cols)
 
 
 def stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

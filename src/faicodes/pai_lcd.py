@@ -70,9 +70,9 @@ def function_from_columns(sc: SupportColumns, field: FieldGF2n | None = None) ->
     return BooleanFunction(sc.n, tt)
 
 
-def _restricted_rm(e: int, n: int, sc: SupportColumns) -> LinearCode:
-    """RM(e, n) punctured at the complement of the support (restriction to it)."""
-    return puncture(rm(e, n), sc.complement())
+def _restricted_rm(e: int, n: int, cols: frozenset[int]) -> LinearCode:
+    """RM(e, n) restricted to the given columns: punctured at every other one."""
+    return puncture(rm(e, n), frozenset(range(1 << n)) - cols)
 
 
 def ai_exceeds_via_dims(f: BooleanFunction, e: int) -> bool:
@@ -84,8 +84,8 @@ def ai_exceeds_via_dims(f: BooleanFunction, e: int) -> bool:
     n = f.n
     sc = support_columns(f)
     full_dim = len(monomials_upto(n, e))
-    on_support = _restricted_rm(e, n, sc)
-    off_support = puncture(rm(e, n), sc.cols)
+    on_support = _restricted_rm(e, n, sc.cols)
+    off_support = _restricted_rm(e, n, sc.complement())
     return on_support.dim == full_dim and off_support.dim == full_dim
 
 
@@ -99,10 +99,10 @@ def fai_at_least_via_codes(f: BooleanFunction, s: int) -> bool:
     if degree(f) < s - 1:
         raise ValueError(f"degree hypothesis violated: deg(f) < {s - 1}")
     n = f.n
-    comp = support_columns(f).complement()
+    cols = support_columns(f).cols
     for e in range(1, n + 1):
-        left = puncture(rm(e, n), comp)
-        right = puncture(rm(min(e + n - s, n), n), comp)
+        left = _restricted_rm(e, n, cols)
+        right = _restricted_rm(min(e + n - s, n), n, cols)
         if row_space_meet_dim(left.gen, dual(right).gen) != 0:
             return False
     return True
@@ -113,7 +113,7 @@ def is_pai_via_lcd(f: BooleanFunction) -> bool:
     if f.tt == 0:
         raise ValueError("the LCD criterion needs a nonzero function")
     sc = support_columns(f)
-    return all(is_lcd(_restricted_rm(e, f.n, sc)) for e in range(1, f.n + 1))
+    return all(is_lcd(_restricted_rm(e, f.n, sc.cols)) for e in range(1, f.n + 1))
 
 
 def lcd_from_pai(f: BooleanFunction, e: int) -> LinearCode:
@@ -124,7 +124,7 @@ def lcd_from_pai(f: BooleanFunction, e: int) -> LinearCode:
     value = fai(f).value
     if value < n:
         raise ValueError(f"not a perfect algebraic immune function: fai = {value} < {n}")
-    code = _restricted_rm(e, n, support_columns(f))
+    code = _restricted_rm(e, n, support_columns(f).cols)
     expected_dim = len(monomials_upto(n, e))
     if not is_lcd(code) or code.dim != expected_dim or code.length != f.tt.bit_count():
         raise AssertionError("extracted code violates the LCD/dimension contract")
@@ -183,20 +183,18 @@ def pai_certificate(f: BooleanFunction) -> dict:
     wt = f.tt.bit_count()
     layers = list(_layers(f))
     high = high_degree_masks(n)
-    gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v]
-    monos = [0]
+    gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v], in degree order
     per_e = []
     for layer, level in zip(layers, monomials_by_degree(n)[1:]):
         e, dim = layer.k, layer.rank
         hull = 0  # dim == wt: the rows span GF(2)^wt, so rank(G G^T) = wt
         if dim < wt:
             for u in level:
-                monos.append(u)
                 low = u & -u  # row u at v is row u - low at v|low: copy those columns down
                 prev = gamma[u ^ low] & monomial_tt(low, n)
                 gamma[u] = prev | prev >> low
             low_cols = ~high[e]
-            hull = dim - rank(BitMatrix.from_rows((gamma[u] & low_cols for u in monos), size))
+            hull = dim - rank(BitMatrix.from_rows((row & low_cols for row in gamma.values()), size))
         per_e.append({"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0})
     best = _best_layer(layers)
     value = best.k + best.mu_adm

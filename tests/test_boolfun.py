@@ -185,7 +185,10 @@ def test_parse_and_format():
     assert parse_function("3:{3,5,6,7}") == BooleanFunction(3, 0xE8)
     assert parse_function("2:{}").tt == 0
     assert parse_function("1:2") == BooleanFunction(1, 2)
-    for bad in ["3:E", "3:0E8", "3:G8", "x:E8", "17:0", "3:{8}", "3:{a}", "3", "3:{1"]:
+    assert parse_function("3:{ 1 , 2 }") == BooleanFunction(3, 0b110)
+    # int() would read these as 4:0FFF, 3:0F, 3:0F, point 10, 3:E8 and point 1
+    bad_chars = ["4:F_FF", "3:+F", "3: F", "3:{1_0}", "+3:E8", "3:{+1}"]
+    for bad in ["3:E", "3:0E8", "3:G8", "x:E8", "17:0", "3:{8}", "3:{a}", "3", "3:{1", *bad_chars]:
         with pytest.raises(ValueError):
             parse_function(bad)
 

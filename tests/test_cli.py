@@ -34,6 +34,12 @@ def test_analyze_json(capsys):
     assert rec["profile_bound"] == 1  # definition diverges from the profile formula here
 
 
+def test_analyze_underscore_in_hex_is_usage_error(capsys):
+    code, out, err = run(capsys, "analyze", "4:F_FF")
+    assert code == 2
+    assert out == "" and "bad hex digits" in err
+
+
 def test_analyze_zero_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "3:00")
     assert code == 2
@@ -234,6 +240,19 @@ def test_sweep_text_prints_notes(capsys):
     assert len(notes) == 15 and notes[0].startswith("note: offset=0 wt=")
 
 
+def test_sweep_text_prints_each_failure(monkeypatch, capsys):
+    def broken(n, trials, seed):
+        rep = sweeps.SweepReport("broken", n, trials, seed)
+        rep.check(True, "holds", "unused")
+        rep.check(False, "prop", "detail")
+        return rep
+
+    monkeypatch.setitem(SUITES, "broken", broken)
+    code, out, _ = run(capsys, "sweep", "broken", "3", "2")
+    assert code == 1
+    assert out.splitlines() == ["suite broken n=3 trials=2 seed=0", "FAIL prop: detail", "checks: 2  failures: 1"]
+
+
 def test_sweep_ai_oracle_random_mode_is_refused_above_n5(capsys):
     # its brute force would walk 2^C(6, <= 3) = 2^42 selections at n = 6
     code, out, err = run(capsys, "sweep", "ai-oracle", "6", "1")
@@ -274,15 +293,28 @@ def test_sweep_n_out_of_range_is_refused_up_front(argv, message, capsys):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("carlet-feng", "16", "0"), "carlet-feng sweep supports n <= 9"),
+        (("ai-oracle", "5", "0"), "exhaustive ai-oracle mode is wired for n = 4"),
+    ],
+)
+def test_sweep_n_above_range_is_refused_up_front(argv, message, capsys):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
 def _must_not_run(*args):
     raise AssertionError("a range check let the sweep start its work")
 
 
-def test_sweep_codes_refuses_n17_before_building_a_code(monkeypatch):
-    # the field module stops at n = 16, after codes for every smaller n were built
+def test_sweep_codes_refuses_n13_before_building_a_code(monkeypatch):
+    # each n costs about 4x the one before (77 s at n = 12), so n = 16 would run for hours
     monkeypatch.setattr(sweeps, "rm", _must_not_run)
-    with pytest.raises(ValueError, match="codes sweep supports n <= 16"):
-        sweeps.sweep_codes(17, 0, 0)
+    with pytest.raises(ValueError, match="codes sweep supports n <= 12"):
+        sweeps.sweep_codes(13, 0, 0)
 
 
 def test_sweep_fai_oracle_refuses_n6_before_any_fai(monkeypatch):
