@@ -79,20 +79,31 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
     """The column route: the least d where a column tt*m, deg m = d, depends on earlier ones.
 
     Each table's columns, monomials in degree order, go into its own XOR
-    basis, level by level.  They live on supp(tt), so once C(n, <= d) exceeds
-    the lightest weight, level d is dependent and no lower level was: d is
+    basis, level by level; each monomial's truth table is read once for all
+    tables.  The columns live on supp(tt), so once C(n, <= d) exceeds the
+    lightest weight, level d is dependent and no lower level was: d is
     returned without inserting it.  None when no column depends.
+
+    Level 0's one column is tt itself, nonzero once the weight test passed,
+    so it seeds each empty basis in the slot insert would give it.
     """
-    lightest = min(tt.bit_count() for tt in tts)
-    bases = [(tt, [0] * ((1 << n) + 1)) for tt in tts]
-    count = 0
-    for d, level in enumerate(monomials_by_degree(n)):
+    lightest = min(map(int.bit_count, tts))
+    if lightest == 0:
+        return 0
+    bases = []
+    for tt in tts:
+        slots = [0] * ((1 << n) + 1)
+        slots[tt.bit_length()] = tt
+        bases.append((tt, slots))
+    count = 1
+    for d, level in enumerate(monomials_by_degree(n)[1:], start=1):
         count += len(level)
         if count > lightest:
             return d
-        for tt, slots in bases:
-            for m in level:
-                if not insert(slots, tt & monomial_tt(m, n)):
+        for m in level:
+            column = monomial_tt(m, n)
+            for tt, slots in bases:
+                if not insert(slots, tt & column):
                     return d
     return None
 

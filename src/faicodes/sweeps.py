@@ -524,21 +524,25 @@ def _low_degree_tts(n: int, e: int) -> Iterator[int]:
 
 
 def _brute_ai_table_n4() -> np.ndarray:
-    """ai for all 65536 functions at n=4 by direct annihilator enumeration."""
-    fs = np.arange(1 << 16, dtype=np.uint32)
+    """ai for all 65536 functions at n=4 by direct annihilator enumeration.
 
-    def has_annihilator(e: int) -> np.ndarray:
-        """Whether f or 1+f has a nonzero annihilator of degree <= e."""
-        found = np.zeros(1 << 16, dtype=bool)
-        for g in _low_degree_tts(4, e):
-            gg = np.uint32(g)
-            found |= ((fs & gg) == 0) | ((fs | gg) == fs)  # g annihilates 1+f iff supp(g) inside supp(f)
-        return found
-
+    g annihilates f iff supp(f) lies inside supp(1+g), and 1+f iff supp(g)
+    lies inside supp(f).  So every nonzero g of degree <= e marks 1+g in one
+    table and g in another; closing the first downward and the second upward
+    over the 16 point bits marks exactly the f where f or 1+f has such a g.
+    """
     out = np.full(1 << 16, 3, dtype=np.int8)
-    out[has_annihilator(2)] = 2
-    out[has_annihilator(1)] = 1
-    out[(fs == 0) | (fs == 0xFFFF)] = 0
+    for e in (2, 1):
+        below = np.zeros(1 << 16, dtype=bool)
+        above = np.zeros(1 << 16, dtype=bool)
+        for g in _low_degree_tts(4, e):
+            below[~g & 0xFFFF] = above[g] = True
+        for bit in range(16):  # axis 1 of each view is point bit `bit` of f
+            down, up = below.reshape(-1, 2, 1 << bit), above.reshape(-1, 2, 1 << bit)
+            down[:, 0] |= down[:, 1]
+            up[:, 1] |= up[:, 0]
+        out[below | above] = e
+    out[[0, 0xFFFF]] = 0
     return out
 
 
@@ -552,28 +556,24 @@ def sweep_ai_oracle(n: int, trials: int, seed: int) -> SweepReport:
         raise ValueError("exhaustive ai-oracle mode is wired for n = 4")
     rep, rng = _start("ai-oracle", n, trials, seed, hi=5, what="random ai-oracle mode")
     if trials == 0:
-        table = _brute_ai_table_n4()
-        for tt in range(1 << 16):
+        for tt, want in enumerate(_brute_ai_table_n4().tolist()):
             f = BooleanFunction(4, tt)
-            rep.check(ai(f) == int(table[tt]), "ai-matches-bruteforce", lambda: _fmt(f))
+            rep.check(ai(f) == want, "ai-matches-bruteforce", lambda: _fmt(f))
     else:
         for _ in range(trials):
             f = random_function(n, rng)
             got = ai(f)
-            best = None
-            for e in range(n + 1):
-                w = _has_annihilator_bruteforce(f, e) or _has_annihilator_bruteforce(
-                    complement(f), e
-                )
-                if w:
-                    best = e
-                    break
+            best = next((e for e in range(n + 1) if _annihilates_a_side(f.tt, n, e)), None)
             rep.check(got == best, "ai-matches-bruteforce", lambda: _fmt(f))
     return rep
 
 
-def _has_annihilator_bruteforce(f: BooleanFunction, e: int) -> bool:
-    return any(f.tt & g == 0 for g in _low_degree_tts(f.n, e))
+def _annihilates_a_side(tt: int, n: int, e: int) -> bool:
+    """Whether some nonzero g of degree <= e annihilates f or 1+f, one pass over the g's.
+
+    g annihilates 1+f iff supp(g) lies inside supp(f).
+    """
+    return any(tt & g == 0 or g | tt == tt for g in _low_degree_tts(n, e))
 
 
 def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:

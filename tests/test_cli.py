@@ -340,6 +340,15 @@ def _fresh_process(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, check=False)
 
 
+def test_cli_import_loads_numpy():
+    # bench/run.py:301 records sys.modules["numpy"].__version__ after importing only
+    # the CLI, so the program must keep importing numpy (through sweeps); pytest
+    # loads numpy itself, hence the fresh process.  Drop this test once the
+    # benchmark stops reading numpy's version.
+    proc = _fresh_process("-c", "import faicodes.cli, sys; assert 'numpy' in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 # an analysis, a certificate, a usage error (exit 2), an argparse error (SystemExit), a carlet-feng run
 PARSER_SEQUENCE = (
     ("analyze", "5:B41365B6", "--json"),

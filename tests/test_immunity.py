@@ -43,6 +43,7 @@ from faicodes.immunity import (
     mul_space_basis,
     profile,
 )
+from faicodes.pai_lcd import carlet_feng_support, function_from_columns
 
 MAJ3 = parse_function("3:E8")
 X1_3 = parse_function("3:AA")
@@ -608,3 +609,50 @@ def test_unfloored_layer_rank_is_truth_table_rank():
 def test_mul_space_basis_degree_range(k):
     with pytest.raises(ValueError, match=f"degree bound {k} out of range 0..3"):
         mul_space_basis(MAJ3, k)
+
+
+def _side_major_first_dependency(n, tts):
+    """Reference: the column route side by side, each table's whole level into its own basis
+    before the next table's, every level from 0 inserted, monomial truth tables read per side."""
+    lightest = min(tt.bit_count() for tt in tts)
+    bases = [(tt, [0] * ((1 << n) + 1)) for tt in tts]
+    count = 0
+    for d, level in enumerate(monomials_by_degree(n)):
+        count += len(level)
+        if count > lightest:
+            return d
+        for tt, slots in bases:
+            for m in level:
+                if not insert(slots, tt & monomial_tt(m, n)):
+                    return d
+    return None
+
+
+def test_first_dependency_matches_side_major_reference_n4():
+    # every one-sided (lda) and two-sided (ai) input at n = 4
+    for tt in range(1 << 16):
+        for tts in ((tt,), (tt, tt ^ 0xFFFF)):
+            assert immunity._first_dependency(4, tts) == _side_major_first_dependency(4, tts), tts
+
+
+def _first_dependency_cases():
+    """Seeded random, light (wt <= n + 1), heavy and all-ones functions at n = 1..11,
+    then Carlet-Feng functions at n = 9, on the count boundary wt = C(9, <= 4)."""
+    rng = random.Random(25)
+    for n in range(1, 12):
+        size = 1 << n
+        yield BooleanFunction(n, rng.getrandbits(size))
+        for w in range(min(n + 1, size) + 1):
+            yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(size), w)))
+        yield BooleanFunction(n, sum(1 << x for x in range(size) if rng.random() < 0.95))
+        yield all_ones(n)
+    for offset in (0, 5, 77):
+        f = function_from_columns(carlet_feng_support(9, offset))
+        assert f.tt.bit_count() == sum(math.comb(9, i) for i in range(5))
+        yield f
+
+
+def test_first_dependency_matches_side_major_reference():
+    for f in _first_dependency_cases():
+        for tts in ((f.tt,), (f.tt, complement(f).tt)):
+            assert immunity._first_dependency(f.n, tts) == _side_major_first_dependency(f.n, tts), (f, len(tts))
