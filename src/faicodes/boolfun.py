@@ -75,18 +75,6 @@ def monomial_sum(selection: int, monos: Sequence[int]) -> int:
     return combine(selection, [1 << m for m in monos])
 
 
-def evaluation_rows(monos: Sequence[int], points: Sequence[int]) -> list[int]:
-    """Row i has bit j set where the monomial monos[i] is 1 at points[j]."""
-    rows = []
-    for m in monos:
-        acc = 0
-        for j, pt in enumerate(points):
-            if pt & m == m:
-                acc |= 1 << j
-        rows.append(acc)
-    return rows
-
-
 @lru_cache(maxsize=None)
 def high_degree_masks(n: int) -> tuple[int, ...]:
     """high[d] = OR of 1<<m over masks m with popcount(m) > d, for d = 0..n."""
@@ -261,7 +249,9 @@ def interpolate_low_degree(
         raise ValueError("the one-point must not be among the zeros")
     monos = monomials_upto(n, d)
     points = sorted(zeros) + [one]
-    matrix = BitMatrix.from_rows(evaluation_rows(monos, points), len(points))
+    # row i evaluates monos[i] at each point: 1 where the point covers the mask
+    rows = (sum(1 << j for j, pt in enumerate(points) if pt & m == m) for m in monos)
+    matrix = BitMatrix.from_rows(rows, len(points))
     target = 1 << (len(points) - 1)
     combo = solve_preimage(matrix, target)
     return None if combo is None else Anf(n, monomial_sum(combo, monos))

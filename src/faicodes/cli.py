@@ -12,12 +12,13 @@ import contextlib
 import dataclasses
 import functools
 import json
+import string
 import sys
 import time
 from typing import IO
 
 from .boolfun import BooleanFunction, parse_function
-from .codes import export_code, hull_dim, import_code, is_even_like, is_self_orthogonal, puncture, rm
+from .codes import export_code, hull_dim, import_code, is_even_like, puncture, rm
 from .gf2m import FieldGF2n, field_new, field_with_modulus
 from .immunity import function_report
 from .pai_lcd import (
@@ -36,7 +37,10 @@ def _open_out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
 def _field_for(n: int, modulus_hex: str | None) -> FieldGF2n:
     if modulus_hex is None:
         return field_new(n)
-    return field_with_modulus(n, int(modulus_hex, 16))
+    digits = modulus_hex.removeprefix("0x")  # int() would also take a sign, spaces and '_'
+    if not digits or set(digits) - set(string.hexdigits):
+        raise ValueError(f"bad modulus {modulus_hex!r}: expected hex digits, optionally after 0x")
+    return field_with_modulus(n, int(digits, 16))
 
 
 def _emit(out: IO[str], record: dict, as_json: bool) -> None:
@@ -80,7 +84,7 @@ def cmd_lcd_check(args: argparse.Namespace) -> int:
         "dim": code.dim,
         "hull": hull,
         "lcd": hull == 0,
-        "self_orthogonal": is_self_orthogonal(code),
+        "self_orthogonal": hull == code.dim,  # the hull is all of C
         "even_like": is_even_like(code),
     }
     with _open_out(args.out) as out:

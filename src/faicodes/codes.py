@@ -12,9 +12,9 @@ from itertools import combinations
 from typing import Iterable
 
 from . import f2linalg
-from .f2linalg import BitMatrix, _gauss_jordan, gather, gram, rank, rref, transpose
+from .f2linalg import BitMatrix, _benes, _gauss_jordan, _permute, gather, gram, rank, rref, transpose
 from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus
-from .boolfun import evaluation_rows, monomials_upto
+from .boolfun import monomial_tt, monomials_upto
 
 MIN_WEIGHT_DIM_GUARD = 24
 MIN_WEIGHT_SEARCH_GUARD = 2_000_000
@@ -44,8 +44,9 @@ def code_from_rows(rows: Iterable[int], length: int) -> LinearCode:
 @lru_cache(maxsize=None)
 def _rm_cached(d: int, n: int, modulus: int) -> LinearCode:
     """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus."""
-    points = enumerate_points(field_with_modulus(n, modulus))
-    return code_from_rows(evaluation_rows(monomials_upto(n, d), points), 1 << n)
+    # each row is a monomial's truth table gathered into the point order
+    to_points = _benes(enumerate_points(field_with_modulus(n, modulus)))[::-1]
+    return code_from_rows((_permute(monomial_tt(m, n), to_points) for m in monomials_upto(n, d)), 1 << n)
 
 
 def rm(d: int, n: int, field: FieldGF2n | None = None) -> LinearCode:
@@ -98,10 +99,6 @@ def hull_dim(c: LinearCode) -> int:
 
 def is_lcd(c: LinearCode) -> bool:
     return hull_dim(c) == 0
-
-
-def is_self_orthogonal(c: LinearCode) -> bool:
-    return all(row == 0 for row in gram(c.gen).data)
 
 
 def is_even_like(c: LinearCode) -> bool:

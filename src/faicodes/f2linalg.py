@@ -19,10 +19,12 @@ Every elimination in the library runs through one of two kernels:
   so a basis for rows of width w needs w + 1 slots.  Callers: `rank` and
   every incremental basis.
 
-Three bit helpers, none of them an elimination, hold the idioms the other
+Four bit helpers, none of them an elimination, hold the idioms the other
 modules share: `transpose` turns rows into columns, `combine` XORs the items
-a selector's set bits pick, and `gather` reads bit positions[j] of an int
-into bit j.
+a selector's set bits pick, `gather` reads bit positions[j] of an int into
+bit j, and the router `_benes` turns a fixed permutation of 2^t bits into
+masked delta swaps that `_permute` applies (the degree order of the product
+pass, and the point order of the RM rows).
 """
 
 from __future__ import annotations
@@ -196,6 +198,63 @@ def gather(bits: int, positions: Iterable[int]) -> int:
     return acc
 
 
+_Network = tuple[tuple[int, int], ...]  # (distance, mask) stages of delta swaps
+
+
+def _benes(perm: Sequence[int]) -> _Network:
+    """Stages that move bit i to bit perm[i], for a permutation of 2^t bits.
+
+    Run backwards, the stages gather, as `gather(bits, perm)` does.  The
+    looping algorithm (Benes 1964; Knuth, TAOCP 4A, 7.1.3): a block of 2h
+    lines splits into halves by bit h, each pair (i, i + h) sends one element
+    to each half, and each output pair takes one from each; the chain of
+    those constraints fixes the input and output swaps, and each half is
+    routed the same way at distance h/2.  Stages at distances size/2, ...,
+    2, 1, 2, ..., size/2 result; the all-zero ones are dropped.
+    """
+    size = len(perm)
+    p = list(perm)
+    head: list[tuple[int, int]] = []
+    tail: list[tuple[int, int]] = []
+    h = size >> 1
+    while h > 1:
+        inv = [0] * size
+        for s, t in enumerate(p):
+            inv[t] = s
+        sub = [0] * size
+        done = bytearray(size)
+        in_mask = out_mask = 0
+        for start in range(size):
+            s = start
+            while not done[s]:
+                # s rides the half where bit h is clear, its input partner the other one
+                low = s ^ h
+                done[s] = done[low] = 1
+                t, u = p[s], p[low]
+                if s & h:
+                    in_mask |= 1 << low
+                if t & h:
+                    out_mask |= 1 << (t ^ h)
+                sub[s & ~h] = t & ~h
+                sub[low | h] = u | h
+                s = inv[u ^ h]  # u's output partner must come from s's half
+        head.append((h, in_mask))
+        tail.append((h, out_mask))
+        p = sub
+        h >>= 1
+    if h:  # the middle stage: each block is one pair by now
+        head.append((1, sum(1 << s for s in range(0, size, 2) if p[s] != s)))
+    return tuple(stage for stage in head + tail[::-1] if stage[1])
+
+
+def _permute(bits: int, network: _Network) -> int:
+    """Apply the network's delta swaps: the bits of each mask trade places with those d above."""
+    for d, mask in network:
+        t = ((bits >> d) ^ bits) & mask
+        bits ^= t ^ (t << d)
+    return bits
+
+
 def solve_preimage(m: BitMatrix, y: int) -> int | None:
     """One x (bits over m's rows) with x @ m = y, or None if y is outside the row space.
 
@@ -213,9 +272,8 @@ def solve_preimage(m: BitMatrix, y: int) -> int | None:
 
 def to_text(m: BitMatrix) -> str:
     """Serialize as 'rows cols' header plus one 0/1 line per row."""
-    lines = [f"{m.rows} {m.cols}"]
-    for row in m.data:
-        lines.append("".join("1" if (row >> c) & 1 else "0" for c in range(m.cols)))
+    # bin() writes the high bit first; the sentinel bit above the row keeps its leading zeros
+    lines = [f"{m.rows} {m.cols}"] + [bin(row | 1 << m.cols)[:2:-1] for row in m.data]
     return "\n".join(lines) + "\n"
 
 
@@ -234,5 +292,5 @@ def from_text(text: str) -> BitMatrix:
     for ln in lines[1:]:
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise ValueError(f"bad matrix row: {ln!r}")
-        data.append(sum(1 << c for c, ch in enumerate(ln) if ch == "1"))
+        data.append(int(ln[::-1], 2))
     return BitMatrix.from_rows(data, cols)

@@ -29,7 +29,7 @@ from .boolfun import (
     monomials_by_degree,
     monomials_upto,
 )
-from .f2linalg import BitMatrix, combine, insert, rref, solve_preimage, transpose
+from .f2linalg import BitMatrix, _benes, _Network, _permute, combine, insert, rref, solve_preimage, transpose
 
 logger = logging.getLogger(__name__)
 
@@ -169,78 +169,20 @@ def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
 # the degree of its leading bit, and the rows of degree <= d span exactly
 # the intersection of the row space with {ANFs of degree <= d}.  The
 # re-indexing is a fixed permutation of 2^n bits, applied as a Benes
-# network of masked delta swaps; its stages run backwards for the inverse.
-
-_Network = tuple[tuple[int, int], ...]  # (distance, mask) stages of delta swaps
-
-
-def _benes(perm: list[int]) -> _Network:
-    """Stages that move bit i to bit perm[i], for a permutation of 2^t bits.
-
-    The looping algorithm (Benes 1964; Knuth, TAOCP 4A, 7.1.3): a block of
-    2h lines splits into halves by bit h, each pair (i, i + h) sends one
-    element to each half, and each output pair takes one from each; the
-    chain of those constraints fixes the input and output swaps, and each
-    half is routed the same way at distance h/2.  Stages at distances
-    size/2, ..., 2, 1, 2, ..., size/2 result; the all-zero ones are dropped.
-    """
-    size = len(perm)
-    p = list(perm)
-    head: list[tuple[int, int]] = []
-    tail: list[tuple[int, int]] = []
-    h = size >> 1
-    while h > 1:
-        inv = [0] * size
-        for s, t in enumerate(p):
-            inv[t] = s
-        sub = [0] * size
-        done = bytearray(size)
-        in_mask = out_mask = 0
-        for start in range(size):
-            s = start
-            while not done[s]:
-                # s rides the half where bit h is clear, its input partner the other one
-                low = s ^ h
-                done[s] = done[low] = 1
-                t, u = p[s], p[low]
-                if s & h:
-                    in_mask |= 1 << low
-                if t & h:
-                    out_mask |= 1 << (t ^ h)
-                sub[s & ~h] = t & ~h
-                sub[low | h] = u | h
-                s = inv[u ^ h]  # u's output partner must come from s's half
-        head.append((h, in_mask))
-        tail.append((h, out_mask))
-        p = sub
-        h >>= 1
-    if h:  # the middle stage: each block is one pair by now
-        head.append((1, sum(1 << s for s in range(0, size, 2) if p[s] != s)))
-    return tuple(stage for stage in head + tail[::-1] if stage[1])
-
-
-def _permute(bits: int, network: _Network) -> int:
-    """Apply the network's delta swaps: the bits of each mask trade places with those d above."""
-    for d, mask in network:
-        t = ((bits >> d) ^ bits) & mask
-        bits ^= t ^ (t << d)
-    return bits
+# network routed from the degree order as listed.
 
 
 class _DegreeOrder(NamedTuple):
-    to_degree: _Network  # moves the coefficient of mask m to its (degree, mask) rank
-    from_degree: _Network  # the inverse: the same stages in reverse
+    to_degree: _Network  # gathers: position p gets the coefficient of mask masks[p]
+    from_degree: _Network  # the network itself: position p goes back to mask masks[p]
     deg_at: tuple[int, ...]  # degree of the monomial at each degree-ordered position
 
 
 @lru_cache(maxsize=None)
 def _degree_order(n: int) -> _DegreeOrder:
     masks = monomials_upto(n, n)
-    pos = [0] * (1 << n)
-    for p, m in enumerate(masks):
-        pos[m] = p
-    network = _benes(pos)
-    return _DegreeOrder(network, network[::-1], tuple(m.bit_count() for m in masks))
+    network = _benes(masks)
+    return _DegreeOrder(network[::-1], network, tuple(m.bit_count() for m in masks))
 
 
 class _Layer(NamedTuple):

@@ -374,18 +374,17 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
                 rep.check(fai(g).value <= kd + 2 * dj, "johansson-wang", detail)
             else:
                 rep.check(fai(g).value == n + 1, "johansson-wang-singleton", detail)
-        # algebraic complement keeps FAI within 2 (both sides away from delta_0)
-        fc = algebraic_complement(f)
-        if f.tt != 1 and fc.tt != 0:
+        # algebraic complement keeps FAI within 2 (both sides away from delta_0, and
+        # f + delta_0 = 0 iff f = delta_0); lemma-util: some linear form keeps the
+        # witness product nonzero
+        if f.tt != 1:
+            res = fai(f)
             rep.check(
-                abs(fai(fc).value - fai(f).value) <= 2,
+                abs(fai(algebraic_complement(f)).value - res.value) <= 2,
                 "alg-complement-fai",
                 _fmt(f),
             )
-        # lemma-util: some linear form keeps the witness product nonzero
-        if f.tt != 1:
-            w = fai(f).witness
-            g_tt = tt_of(w.g).tt
+            g_tt = tt_of(res.witness.g).tt
             prod = f.tt & g_tt
             rep.check(
                 any(prod & l for l in linear_tts),

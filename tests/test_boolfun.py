@@ -15,10 +15,10 @@ from faicodes.boolfun import (
     concatenate,
     degree,
     delta,
-    evaluation_rows,
     format_anf,
     format_function,
     interpolate_low_degree,
+    monomial_sum,
     monomial_tt,
     monomials_upto,
     multiply,
@@ -29,7 +29,7 @@ from faicodes.boolfun import (
     tt_of,
     weight,
 )
-from faicodes.f2linalg import BitMatrix
+from faicodes.f2linalg import BitMatrix, solve_preimage
 
 MAJ3 = parse_function("3:E8")
 
@@ -232,9 +232,41 @@ def test_input_checks(build, message):
         build()
 
 
+def _evaluation_rows(monos, points):
+    """Reference: row i has bit j set where the monomial monos[i] is 1 at points[j], point by point."""
+    rows = []
+    for m in monos:
+        acc = 0
+        for j, pt in enumerate(points):
+            if pt & m == m:
+                acc |= 1 << j
+        rows.append(acc)
+    return rows
+
+
 def test_evaluation_rows_and_monomial_tables_agree():
     for n in (1, 3, 5):
         monos = monomials_upto(n, n)
         # evaluated at every point in order, a monomial's row is its truth table
-        assert evaluation_rows(monos, range(1 << n)) == [monomial_tt(m, n) for m in monos]
-    assert evaluation_rows([0b01, 0b11], [3, 0, 1]) == [0b101, 0b001]
+        assert _evaluation_rows(monos, range(1 << n)) == [monomial_tt(m, n) for m in monos]
+    assert _evaluation_rows([0b01, 0b11], [3, 0, 1]) == [0b101, 0b001]
+    # interpolate_low_degree gives the solution of the reference system, solvable or not
+    rng = random.Random(41)
+    solved = unsolved = 0
+    for n in range(2, 11):
+        for _ in range(25):
+            d = rng.randrange(0, n + 1)
+            zeros = set(rng.sample(range(1 << n), rng.randrange(0, min((1 << n) - 1, (2 << d) + 4, 48) + 1)))
+            one = rng.choice([p for p in range(1 << n) if p not in zeros])
+            monos = monomials_upto(n, d)
+            points = sorted(zeros) + [one]
+            matrix = BitMatrix.from_rows(_evaluation_rows(monos, points), len(points))
+            combo = solve_preimage(matrix, 1 << len(zeros))
+            h = interpolate_low_degree(zeros, one, d, n)
+            assert (h is None) == (combo is None), (n, d, zeros, one)
+            if h is None:
+                unsolved += 1
+            else:
+                solved += 1
+                assert h.coeffs == monomial_sum(combo, monos), (n, d, zeros, one)
+    assert solved and unsolved

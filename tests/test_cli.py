@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import faicodes
+import faicodes.codes as codes
 import faicodes.sweeps as sweeps
 from faicodes.cli import build_parser, main
 from faicodes.sweeps import SUITES
@@ -167,6 +168,44 @@ def test_carlet_feng_modulus_override(capsys):
     rec = json.loads(out)
     assert rec["modulus"] == "0xd" and rec["offset"] == 0  # no --offset: offset 0
     assert rec["pai_by_def"]
+
+
+def test_lcd_check_runs_one_gram(tmp_path, capsys, monkeypatch):
+    paths = {}
+    for name, code in (("rm-1-3", codes.rm(1, 3)), ("rm-2-4", codes.rm(2, 4)), ("eye", codes.code_from_rows([1, 2], 2))):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(codes.export_code(code))
+    grams = []
+    gram = codes.gram
+    monkeypatch.setattr(codes, "gram", lambda g: grams.append(g) or gram(g))
+    reports = {}
+    for name, path in paths.items():
+        code, out, _ = run(capsys, "lcd-check", str(path), "--json")
+        assert code == 0
+        reports[name] = json.loads(out)
+    assert len(grams) == len(paths)
+    # self-orthogonal iff the hull is all of C: RM(1, 3) is self-dual, RM(2, 4)'s hull is RM(1, 4)
+    assert [(r["hull"], r["self_orthogonal"], r["lcd"]) for r in reports.values()] == [
+        (4, True, False), (5, False, False), (0, False, True)
+    ]
+
+
+@pytest.mark.parametrize("command", [("rm", "1", "4"), ("pai-verify", "4:195F"), ("carlet-feng", "4")],
+                         ids=["rm", "pai-verify", "carlet-feng"])
+@pytest.mark.parametrize(
+    "modulus",
+    ["1_3", "+13", " 13", "13 ", "-13", "0x", "0x+13", "0X13", ""],
+    ids=["underscore", "plus", "leading-space", "trailing-space", "minus", "bare-prefix", "prefix-then-sign",
+         "upper-prefix", "empty"],
+)
+def test_modulus_takes_hex_digits_only(command, modulus, capsys):
+    # int(text, 16) reads the first four and 0X13 as 0x13 and -13 as -0x13; only 0x then hex digits is taken
+    code, out, err = run(capsys, *command, "--modulus", modulus)
+    assert code == 2
+    assert out == "" and "bad modulus" in err
+    code, out, err = run(capsys, *command, "--modulus", "0x13")
+    assert code != 2 and "0x13" in out and err == ""
+    assert run(capsys, *command, "--modulus", "13") == (code, out, err)
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,14 @@ from faicodes.codes import (
     import_code,
     is_even_like,
     is_lcd,
-    is_self_orthogonal,
     min_weight,
     puncture,
     rm,
     shorten,
 )
-from faicodes.f2linalg import BitMatrix
-from faicodes.gf2m import enumerate_points, field_new, field_with_modulus
+from faicodes.boolfun import monomials_upto
+from faicodes.f2linalg import BitMatrix, combine, gram, row_space_meet_dim
+from faicodes.gf2m import _x_power_cycle, enumerate_points, field_new, field_with_modulus
 
 
 def _full_code(length):
@@ -86,19 +86,30 @@ def test_puncture_shorten_duality():
         assert dual(shorten(c, coords)) == puncture(dual(c), coords)
 
 
+def _self_orthogonal_by_gram(c):
+    return all(row == 0 for row in gram(c.gen).data)
+
+
 def test_hull_and_lcd():
     eye = _full_code(4)
     assert is_lcd(eye) and hull_dim(eye) == 0
     c = rm(1, 3)  # self-dual
     assert hull_dim(c) == 4
     assert not is_lcd(c)
-    assert is_self_orthogonal(c)
     rng = random.Random(24)
-    from faicodes.f2linalg import row_space_meet_dim
-
+    codes = [c, rm(2, 5), eye]
     for _ in range(60):
         c = random_code(rng)
         assert hull_dim(c) == row_space_meet_dim(c.gen, dual(c).gen)
+        codes.append(c)
+    for base in (rm(1, 3), rm(2, 5)):  # subcodes of a self-dual code are self-orthogonal
+        for _ in range(10):
+            rows = (combine(rng.getrandbits(base.dim), base.gen.data) for _ in range(rng.randrange(1, base.dim)))
+            codes.append(code_from_rows(rows, base.length))
+    # C is self-orthogonal iff its hull is all of C, the form lcd-check reports
+    assert {hull_dim(c) == c.dim for c in codes} == {True, False}
+    for c in codes:
+        assert (hull_dim(c) == c.dim) == _self_orthogonal_by_gram(c), c
 
 
 def test_even_like():
@@ -159,6 +170,23 @@ def test_export_import_roundtrip():
         text = export_code(c)
         assert text.startswith("# code length=")
         assert import_code(text) == c
+
+
+def _other_modulus(n):
+    """The largest primitive modulus of degree n, which is not the default one for n >= 3."""
+    return next(m for m in range((2 << n) - 1, 1 << n, -2) if _x_power_cycle(m, n))
+
+
+def test_rm_rows_match_point_by_point_evaluation():
+    for n in range(2, 10):
+        fields = [field_new(n)] + ([field_with_modulus(n, _other_modulus(n))] if n >= 3 else [])
+        assert len({f.modulus for f in fields}) == len(fields)
+        for field in fields:
+            points = enumerate_points(field)
+            for d in range(n + 1):
+                # reference: row of monomial m has bit j set where m is 1 at the j-th point
+                rows = [sum(1 << j for j, pt in enumerate(points) if pt & m == m) for m in monomials_upto(n, d)]
+                assert rm(d, n, field) == code_from_rows(rows, 1 << n), (n, d, field.modulus)
 
 
 def test_rm_with_custom_field():

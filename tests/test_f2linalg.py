@@ -4,8 +4,11 @@ import pytest
 
 from faicodes.f2linalg import (
     BitMatrix,
+    _benes,
     _gauss_jordan,
+    _permute,
     from_text,
+    gather,
     gram,
     insert,
     kernel_basis,
@@ -17,6 +20,7 @@ from faicodes.f2linalg import (
     stack,
     to_text,
 )
+from faicodes.immunity import _degree_order
 
 
 def rows_from_strings(*lines):
@@ -296,6 +300,19 @@ def test_text_roundtrip_and_errors():
         from_text("1 3\n01x\n")
 
 
+def test_to_text_matches_per_column_loop():
+    rng = random.Random(0x7E)
+    shapes = [(0, 0), (3, 0), (0, 5), (1, 1), *((rng.randrange(1, 9), rng.randrange(1, 70)) for _ in range(40))]
+    for rows, cols in shapes:
+        # the top columns stay zero in most rows, so the text must keep its trailing 0s
+        top = rng.randrange(0, cols + 1)
+        m = BitMatrix.from_rows((rng.getrandbits(top) for _ in range(rows)), cols)
+        lines = ["".join("1" if (row >> c) & 1 else "0" for c in range(cols)) for row in m.data]
+        assert to_text(m) == "\n".join([f"{rows} {cols}", *lines]) + "\n", (rows, cols)
+        if cols or not rows:  # from_text skips blank lines, so zero-width rows do not come back
+            assert from_text(to_text(m)) == m
+
+
 def test_random_invariants():
     rng = random.Random(0xF2)
     for _ in range(300):
@@ -336,3 +353,62 @@ def test_random_invariants():
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _bit_loop(bits, pos):
+    """Reference permutation: bit i moves to bit pos[i], one bit at a time."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc |= 1 << pos[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def _rows(size, rng):
+    return [0, (1 << size) - 1, *(1 << i for i in range(size)), *(rng.getrandbits(size) for _ in range(8))]
+
+
+def test_degree_order_network_matches_bit_loop():
+    rng = random.Random(20)
+    for n in range(1, 13):
+        size = 1 << n
+        masks = sorted(range(size), key=lambda m: (m.bit_count(), m))
+        pos = [0] * size
+        for p, m in enumerate(masks):
+            pos[m] = p
+        order = _degree_order(n)
+        assert len(order.to_degree) <= 2 * n - 1
+        assert order.deg_at == tuple(m.bit_count() for m in masks)
+        for row in _rows(size, rng):
+            assert _permute(row, order.to_degree) == _bit_loop(row, pos), (n, row)
+            assert _permute(row, order.from_degree) == _bit_loop(row, masks), (n, row)
+
+
+def test_benes_routes_random_permutations():
+    rng = random.Random(21)
+    for t in range(1, 13):
+        size = 1 << t
+        for _ in range(3 if t < 10 else 1):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            inverse = [0] * size
+            for i, p in enumerate(perm):
+                inverse[p] = i
+            network = _benes(perm)
+            assert len(network) <= 2 * t - 1
+            for row in _rows(size, rng):
+                assert _permute(row, network) == _bit_loop(row, perm)
+                assert _permute(row, network[::-1]) == _bit_loop(row, inverse)
+
+
+def test_reversed_benes_network_gathers():
+    rng = random.Random(22)
+    for t in range(1, 13):
+        size = 1 << t
+        for _ in range(3 if t < 10 else 1):
+            order = list(range(size))
+            rng.shuffle(order)
+            network = _benes(order)[::-1]
+            for row in _rows(size, rng):
+                assert _permute(row, network) == gather(row, order), (t, row)

@@ -22,16 +22,14 @@ from faicodes.boolfun import (
     random_nonconstant,
     tt_of,
 )
-from faicodes.f2linalg import BitMatrix, insert, kernel_basis, rank, row_space_meet_dim, solve_preimage
+from faicodes.f2linalg import BitMatrix, _permute, insert, kernel_basis, rank, row_space_meet_dim, solve_preimage
 import faicodes.immunity as immunity
 from faicodes.immunity import (
     ImmunityProfile,
-    _benes,
     _best_layer,
     _degree_order,
     _layers,
     _least_total,
-    _permute,
     ai,
     annihilator_witness,
     fai,
@@ -489,53 +487,6 @@ def test_fai_direct_matches_butterfly_reference():
     for f in _functions(3, (4, 5), 25, seed=20):
         if f.tt:
             assert fai_direct(f) == _fai_direct_butterfly(f), f
-
-
-def _bit_loop(bits, pos):
-    """Reference permutation: bit i moves to bit pos[i], one bit at a time."""
-    acc = 0
-    while bits:
-        low = bits & -bits
-        acc |= 1 << pos[low.bit_length() - 1]
-        bits ^= low
-    return acc
-
-
-def _rows(size, rng):
-    return [0, (1 << size) - 1, *(1 << i for i in range(size)), *(rng.getrandbits(size) for _ in range(8))]
-
-
-def test_degree_order_network_matches_bit_loop():
-    rng = random.Random(20)
-    for n in range(1, 13):
-        size = 1 << n
-        masks = sorted(range(size), key=lambda m: (m.bit_count(), m))
-        pos = [0] * size
-        for p, m in enumerate(masks):
-            pos[m] = p
-        order = _degree_order(n)
-        assert len(order.to_degree) <= 2 * n - 1
-        assert order.deg_at == tuple(m.bit_count() for m in masks)
-        for row in _rows(size, rng):
-            assert _permute(row, order.to_degree) == _bit_loop(row, pos), (n, row)
-            assert _permute(row, order.from_degree) == _bit_loop(row, masks), (n, row)
-
-
-def test_benes_routes_random_permutations():
-    rng = random.Random(21)
-    for t in range(1, 13):
-        size = 1 << t
-        for _ in range(3 if t < 10 else 1):
-            perm = list(range(size))
-            rng.shuffle(perm)
-            inverse = [0] * size
-            for i, p in enumerate(perm):
-                inverse[p] = i
-            network = _benes(perm)
-            assert len(network) <= 2 * t - 1
-            for row in _rows(size, rng):
-                assert _permute(row, network) == _bit_loop(row, perm)
-                assert _permute(row, network[::-1]) == _bit_loop(row, inverse)
 
 
 def _first_annihilator(f, e):
