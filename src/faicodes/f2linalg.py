@@ -278,19 +278,29 @@ def to_text(m: BitMatrix) -> str:
 
 
 def from_text(text: str) -> BitMatrix:
-    """Parse the to_text format (lines starting with '#' are skipped)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    """Parse the to_text format (lines starting with '#' are skipped).
+
+    After the header come exactly `rows` row lines; an empty line is a row of
+    width 0, and further lines may only be blank.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if not ln.startswith("#")]
+    start = next((i for i, ln in enumerate(lines) if ln), None)
+    if start is None:
         raise ValueError("empty matrix text")
     try:
-        rows, cols = (int(tok) for tok in lines[0].split())
+        rows, cols = (int(tok) for tok in lines[start].split())
     except ValueError as exc:
-        raise ValueError(f"bad matrix header: {lines[0]!r}") from exc
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} row lines, got {len(lines) - 1}")
+        raise ValueError(f"bad matrix header: {lines[start]!r}") from exc
+    body = lines[start + 1 :]
+    if cols:
+        body = [ln for ln in body if ln]  # a row of positive width is never blank
+    while len(body) > rows and not body[-1]:
+        body.pop()
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} row lines, got {len(body)}")
     data = []
-    for ln in lines[1:]:
+    for ln in body:
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise ValueError(f"bad matrix row: {ln!r}")
-        data.append(int(ln[::-1], 2))
+        data.append(int(ln[::-1] or "0", 2))
     return BitMatrix.from_rows(data, cols)

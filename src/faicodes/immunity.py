@@ -186,18 +186,13 @@ def _degree_order(n: int) -> _DegreeOrder:
 
 
 class _Layer(NamedTuple):
-    """The product basis of f once every monomial of degree <= k is in.
-
-    rank is the dimension of the products' span only on an unfloored pass: a
-    floored pass stops inserting once it settles at the floor.
-    """
+    """The product basis of f once every monomial of degree <= k is in."""
 
     k: int
     mu: int | None  # mu_k(f)
     mu_adm: int | None  # mu'_k: the minimum over g not in {0, 1}
     row: int | None  # a permuted basis row of degree mu'_k; None when that product is f
     lda: int | None  # lda(f) when it is <= k, else None
-    rank: int  # rows in the basis
 
 
 def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
@@ -260,7 +255,7 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
                 raise AssertionError("a product of f has degree below lda(1+f)")
             # lda(f) unknown: the rank products so far are independent
             settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
-        yield _Layer(k, mu, mu_adm, row, lda_f, rank)
+        yield _Layer(k, mu, mu_adm, row, lda_f)
 
 
 def _best_layer(layers: Iterable[_Layer]) -> _Layer:

@@ -8,9 +8,10 @@ and perfect algebraic immunity as LCD-ness of every punctured order.
 The PAI certificate reads every order from truth-table coordinates: the
 rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and Massey's
 criterion gives hull = rank(G) - rank(G G^T) for any spanning set G.  One
-product pass of the immunity engine gives both FAI and the rank of the
-rows f*m at every order, so the certificate builds no basis of its own.  The
-Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
+scan of those rows gives every order's dimension and, by the duality of
+puncturing and shortening, lda(1+f); the immunity engine's product pass,
+floored there, gives FAI and reads only the layers that can still lower
+it.  The Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
 superset-parity transform of f.  Length, dimension and hull do not change
 when columns are permuted, so the verdicts take no GF(2^n) point order;
 only `support_columns` and `function_from_columns` take one.  The
@@ -40,9 +41,9 @@ from .codes import (
     puncture,
     rm,
 )
-from .f2linalg import BitMatrix, rank, row_space_meet_dim
+from .f2linalg import BitMatrix, insert, rank, row_space_meet_dim
 from .gf2m import FieldGF2n, enumerate_points, field_new
-from .immunity import _best_layer, _layers, fai
+from .immunity import _layers, _least_total, fai
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,26 @@ def carlet_feng_support(n: int, offset: int = 0, count: int | None = None) -> Su
     return SupportColumns(n, frozenset(cols))
 
 
+def _restricted_dims(f: BooleanFunction) -> list[int]:
+    """dim of RM(e, n) restricted to supp(f) for e = 0..n: the rank of the rows f*m, deg m <= e.
+
+    The rows go into one highest-bit XOR basis, monomials in degree order,
+    the column route of `immunity._first_dependency` run on to full rank:
+    once the rank reaches wt(f) the rows span GF(2)^wt(f), and no later row
+    is inserted.
+    """
+    n, wt = f.n, f.tt.bit_count()
+    slots = [0] * ((1 << n) + 1)
+    dims, dim = [], 0
+    for level in monomials_by_degree(n):
+        for m in level:
+            if dim == wt:
+                break
+            dim += insert(slots, f.tt & monomial_tt(m, n))
+        dims.append(dim)
+    return dims
+
+
 def pai_certificate(f: BooleanFunction) -> dict:
     """Full PAI verdict: definitional FAI, LCD-ness per order, and agreement.
 
@@ -167,26 +188,31 @@ def pai_certificate(f: BooleanFunction) -> dict:
     Gamma(u, v) = F[u|v], where F[w] is the parity of supp(f) above w.  A
     column permutation changes none of the three, so the certificate is
     the same on every GF(2^n) point order and names no modulus.
-    One unfloored product pass (`immunity._layers`) gives both the FAI
-    value, the least k + mu'_k as in `ffai`, and each order's dimension,
-    the rank of layer e: the Moebius transform maps the rows f*m_u to the
-    products' ANFs bijectively.  Once the rank reaches wt(f), the code is
-    all of GF(2)^wt(f), whose dual is zero: that order and every later one
-    keep that dimension and the zero hull, and none of them builds Gram rows
-    or ranks them.  A spanning set G of column rank wt has ker G = 0, so
-    G G^T x = 0 gives G^T x = 0 and rank(G G^T) = rank(G^T) = wt.
+    One truth-table scan gives each order's dimension.  Once the rank
+    reaches wt(f), the code is all of GF(2)^wt(f), whose dual is zero: that
+    order and every later one keep that dimension and the zero hull, and
+    none of them builds Gram rows or ranks them.  A spanning set G of column
+    rank wt has ker G = 0, so G G^T x = 0 gives G^T x = 0 and
+    rank(G G^T) = rank(G^T) = wt.  The dual of order e is zero iff no
+    nonzero function of degree <= n - e - 1 vanishes off supp(f), that is,
+    annihilates 1+f, so the first full order e* gives lda(1+f) = n - e*
+    (notes/decisions.md, section 13).
+    The FAI value, the least k + mu'_k as in `ffai`, comes from the lazy
+    product pass floored there, which checks mu_k >= n - e* on every layer
+    it reads.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
     n = f.n
     size = 1 << n
     wt = f.tt.bit_count()
-    layers = list(_layers(f))
+    dims = _restricted_dims(f)
+    floor = n - dims.index(wt)  # lda(1+f)
+    value = _least_total(_layers(f, floor), floor)
     high = high_degree_masks(n)
     gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v], in degree order
     per_e = []
-    for layer, level in zip(layers, monomials_by_degree(n)[1:]):
-        e, dim = layer.k, layer.rank
+    for e, (dim, level) in enumerate(zip(dims[1:], monomials_by_degree(n)[1:]), start=1):
         hull = 0  # dim == wt: the rows span GF(2)^wt, so rank(G G^T) = wt
         if dim < wt:
             for u in level:
@@ -196,8 +222,6 @@ def pai_certificate(f: BooleanFunction) -> dict:
             low_cols = ~high[e]
             hull = dim - rank(BitMatrix.from_rows((row & low_cols for row in gamma.values()), size))
         per_e.append({"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0})
-    best = _best_layer(layers)
-    value = best.k + best.mu_adm
     by_def = value >= n
     by_lcd = all(entry["lcd"] for entry in per_e)
     return {

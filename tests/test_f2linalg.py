@@ -298,6 +298,14 @@ def test_text_roundtrip_and_errors():
         from_text("2 3\n010\n")  # missing a row
     with pytest.raises(ValueError):
         from_text("1 3\n01x\n")
+    with pytest.raises(ValueError, match="bad matrix row"):
+        from_text("2 3\n010\n01\n")  # a short row
+    with pytest.raises(ValueError, match="bad matrix row"):
+        from_text("2 0\n\n1\n")  # a row wider than 0 columns
+    with pytest.raises(ValueError, match="expected 3 row lines, got 2"):
+        from_text("3 0\n\n\n")  # one zero-width row missing
+    # comments are skipped, and blank lines after the rows are not rows
+    assert from_text("# c\n2 0\n# c\n\n\n\n\n") == BitMatrix.from_rows((0, 0), 0)
 
 
 def test_to_text_matches_per_column_loop():
@@ -309,8 +317,7 @@ def test_to_text_matches_per_column_loop():
         m = BitMatrix.from_rows((rng.getrandbits(top) for _ in range(rows)), cols)
         lines = ["".join("1" if (row >> c) & 1 else "0" for c in range(cols)) for row in m.data]
         assert to_text(m) == "\n".join([f"{rows} {cols}", *lines]) + "\n", (rows, cols)
-        if cols or not rows:  # from_text skips blank lines, so zero-width rows do not come back
-            assert from_text(to_text(m)) == m
+        assert from_text(to_text(m)) == m  # a zero-width row is an empty line
 
 
 def test_random_invariants():

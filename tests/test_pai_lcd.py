@@ -1,23 +1,28 @@
 import random
+from math import comb
 
 import pytest
 
+import faicodes.immunity as immunity
 from faicodes import pai_lcd
 from faicodes.boolfun import (
     BooleanFunction,
+    complement,
     degree,
     mobius,
     monomial_sum,
+    monomial_tt,
     monomials_upto,
     parse_function,
     random_nonconstant,
 )
 from faicodes.codes import hull_dim, is_lcd, puncture, rm
-from faicodes.f2linalg import rank
+from faicodes.f2linalg import BitMatrix, rank
 from faicodes.gf2m import enumerate_points, field_new, field_with_modulus
-from faicodes.immunity import ai, fai
+from faicodes.immunity import _best_layer, _layers, ai, fai, lda
 from faicodes.pai_lcd import (
     SupportColumns,
+    _restricted_dims,
     ai_exceeds_via_dims,
     carlet_feng_support,
     fai_at_least_via_codes,
@@ -260,6 +265,84 @@ def test_pai_certificate_ranks_no_full_space_order(monkeypatch):
         skipped += len(per_e) - len(below)
         ranked += len(below)
     assert skipped and ranked
+
+
+def _truth_table_ranks(f):
+    """rank of the rows f*m, deg m <= e, for e = 0..n, each from its own matrix."""
+    rows = [f.tt & monomial_tt(m, f.n) for m in monomials_upto(f.n, f.n)]
+    return [rank(BitMatrix.from_rows(rows[: len(monomials_upto(f.n, e))], f.size)) for e in range(f.n + 1)]
+
+
+def _duality_functions():
+    """Every nonzero f at n <= 3, a stride over n = 4, then seeded random, sparse and edge-weight f."""
+    for n in (1, 2, 3):
+        for tt in range(1, 1 << (1 << n)):
+            yield BooleanFunction(n, tt)
+    for tt in range(1, 1 << 16, 97):
+        yield BooleanFunction(4, tt)
+    rng = random.Random(37)
+    for n in range(5, 11):
+        size = 1 << n
+        full = (1 << size) - 1
+        yield BooleanFunction(n, full)  # e* = n, lda(0) = 0
+        yield BooleanFunction(n, 1 << rng.randrange(size))  # e* = 0, lda(1+f) = n
+        yield BooleanFunction(n, full ^ 1 << rng.randrange(size))
+        for _ in range(3):
+            yield random_nonconstant(n, rng)
+        for wt in (2, n, 2 * n):
+            yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(size), wt)))
+        for e in range(n):
+            upto = sum(comb(n, i) for i in range(e + 1))  # C(n, <= e)
+            for wt in (upto - 1, upto + 1):
+                if 1 <= wt < size:
+                    yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(size), wt)))
+
+
+def test_restricted_dims_are_truth_table_ranks():
+    # the scan's rank after each level against the rank of the truth-table rows f*m, deg m <= e
+    rng = random.Random(24)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8):
+        for _ in range(6):
+            f = BooleanFunction(n, rng.getrandbits(1 << n) or 1)
+            assert _restricted_dims(f) == _truth_table_ranks(f), f
+
+
+def test_first_full_order_gives_lda_of_complement():
+    # puncture-shorten duality: RM(e, n) on supp(f) is all of GF(2)^wt iff lda(1+f) > n - e - 1
+    seen = set()
+    for f in _duality_functions():
+        dims = _restricted_dims(f)
+        first_full = dims.index(f.tt.bit_count())
+        assert f.n - first_full == lda(complement(f)), f
+        seen.add(first_full == f.n)
+    assert seen == {False, True}
+
+
+def test_pai_certificate_matches_unfloored_pass():
+    # the unfloored product pass and per-order truth-table ranks, the route the certificate replaced
+    for f in _duality_functions():
+        if f.n > 8:
+            continue
+        cert = pai_certificate(f)
+        best = _best_layer(list(_layers(f)))
+        assert cert["fai"] == best.k + best.mu_adm, f
+        assert [entry["dim"] for entry in cert["per_e_lcd_status"]] == _truth_table_ranks(f)[1:], f
+
+
+def test_pai_certificate_permutes_only_the_read_layers(monkeypatch):
+    # Carlet-Feng at offset 0: the lazy pass permutes f's ANF and its 130 (n = 9) or 93 (n = 8) products
+    calls = []
+    permute = immunity._permute
+
+    def counting_permute(bits, network):
+        calls.append(bits)
+        return permute(bits, network)
+
+    monkeypatch.setattr(immunity, "_permute", counting_permute)
+    for n, bound in ((9, 131), (8, 94)):
+        calls.clear()
+        assert pai_certificate(function_from_columns(carlet_feng_support(n, 0)))["pai_by_def"]
+        assert len(calls) <= bound, (n, len(calls))
 
 
 def test_support_columns_type():
