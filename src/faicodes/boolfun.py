@@ -23,7 +23,14 @@ MAX_VARS = 16
 
 @lru_cache(maxsize=None)
 def _butterfly_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) pairs for the in-place radix-2 Möbius passes on 2^n bits."""
+    """(shift, mask) pairs for the in-place radix-2 Möbius passes on n variables.
+
+    Each mask spans 2^MAX_VARS bits, so the passes transform every 2^n-bit
+    block of a wider int at once; those on n variables are the first n of
+    the MAX_VARS ones.
+    """
+    if n < MAX_VARS:
+        return _butterfly_masks(MAX_VARS)[:n]
     out = []
     for i in range(n):
         step = 1 << i
@@ -36,7 +43,11 @@ def _butterfly_masks(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def mobius(bits: int, n: int) -> int:
-    """Binary Möbius (butterfly) transform; an involution mapping tt <-> ANF."""
+    """Binary Möbius (butterfly) transform; an involution mapping tt <-> ANF.
+
+    bits may be wider than 2^n, up to 2^MAX_VARS bits: each 2^n-bit block is
+    transformed on its own.
+    """
     for shift, mask in _butterfly_masks(n):
         bits ^= (bits & mask) << shift
     return bits

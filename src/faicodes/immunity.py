@@ -16,6 +16,7 @@ from math import comb, inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .boolfun import (
+    MAX_VARS,
     Anf,
     BooleanFunction,
     anf_degree,
@@ -149,10 +150,37 @@ def ai(f: BooleanFunction) -> int:
     return _first_dependency(f.n, (f.tt, f.tt ^ ((1 << f.size) - 1)))
 
 
+def _chunk_shape(n: int) -> tuple[int, int]:
+    """(bytes per row, rows per chunk) of a packed chunk, at most one MAX_VARS truth table wide.
+
+    A row takes 2^n bits, or a byte when n <= 2.
+    """
+    width = max(1 << n >> 3, 1)
+    return width, (1 << MAX_VARS >> 3) // width
+
+
+def _product_rows(f: BooleanFunction, monos: Sequence[int], network: _Network = ()) -> Iterator[int]:
+    """The ANFs of f*m, one row per monomial m of monos, in order, each permuted by network.
+
+    The truth tables f*m are packed into one int a chunk at a time
+    (`_chunk_shape`), so one Möbius butterfly and one pass of the network
+    transform every row of the chunk; the network's masks repeat at the
+    row stride, as to_degree's do.  A chunk is transformed when its first
+    row is asked for.
+    """
+    n = f.n
+    width, per_chunk = _chunk_shape(n)
+    for start in range(0, len(monos), per_chunk):
+        tables = (f.tt & monomial_tt(m, n) for m in monos[start : start + per_chunk])
+        chunk = b"".join(tt.to_bytes(width, "little") for tt in tables)
+        out = _permute(mobius(int.from_bytes(chunk, "little"), n), network).to_bytes(len(chunk), "little")
+        for i in range(0, len(out), width):
+            yield int.from_bytes(out[i : i + width], "little")
+
+
 def _products(f: BooleanFunction, monos: Sequence[int]) -> BitMatrix:
     """The ANFs of f*m, one 2^n-bit row per monomial m of monos, in order."""
-    n = f.n
-    return BitMatrix.from_rows((mobius(f.tt & monomial_tt(m, n), n) for m in monos), 1 << n)
+    return BitMatrix.from_rows(_product_rows(f, monos), 1 << f.n)
 
 
 def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
@@ -173,7 +201,8 @@ def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
 
 
 class _DegreeOrder(NamedTuple):
-    to_degree: _Network  # gathers: position p gets the coefficient of mask masks[p]
+    # gathers: position p gets the coefficient of mask masks[p], in every row of a packed chunk
+    to_degree: _Network
     from_degree: _Network  # the network itself: position p goes back to mask masks[p]
     deg_at: tuple[int, ...]  # degree of the monomial at each degree-ordered position
 
@@ -182,7 +211,11 @@ class _DegreeOrder(NamedTuple):
 def _degree_order(n: int) -> _DegreeOrder:
     masks = monomials_upto(n, n)
     network = _benes(masks)
-    return _DegreeOrder(network[::-1], network, tuple(m.bit_count() for m in masks))
+    width, copies = _chunk_shape(n)
+    to_degree = tuple(
+        (d, int.from_bytes(mask.to_bytes(width, "little") * copies, "little")) for d, mask in network[::-1]
+    )
+    return _DegreeOrder(to_degree, network, tuple(m.bit_count() for m in masks))
 
 
 class _Layer(NamedTuple):
@@ -197,6 +230,12 @@ class _Layer(NamedTuple):
 
 def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     """Insert each product f*m once, monomials in degree order; yield k = 1..n.
+
+    Each level's products come in degree-ordered ANF from `_product_rows`,
+    one butterfly and one pass of to_degree per chunk.  A chunk is
+    transformed when the pass takes its first row, so a stop wastes at most
+    the rest of one chunk, and a level the pass never reaches is never
+    transformed.  f's own row is level 0's one product, f*1.
 
     The first product that is zero or dependent marks the lowest-degree
     annihilator, so lda(f) comes with the pass.  The products span exactly
@@ -225,20 +264,22 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     # the rows by degree; slots[0] stays 0, and insert's loop ends on it once a row reduces to 0
     slots = [0] * ((1 << n) + 1)
     rank = 0
-    anf_f_perm = _permute(mobius(f.tt, n), to_degree)
     lda_f: int | None = None
     settled = False  # by the floor
     for k, level in enumerate(monomials_by_degree(n)):
-        for m in level:
+        products = _product_rows(f, level, to_degree)
+        for _ in level:
             if settled or rank == weight:
                 if lda_f is None:
                     lda_f = k
                 break
-            if insert(slots, _permute(mobius(f.tt & monomial_tt(m, n), n), to_degree)):
+            row = next(products)
+            if insert(slots, row):
                 rank += 1
             elif lda_f is None:
                 lda_f = k
         if not k:
+            anf_f_perm = row if rank else 0  # level 0's one product, f*1 = f; none is taken when f = 0
             continue
         rows = filter(None, slots)
         row = next(rows, None)

@@ -14,6 +14,7 @@ from faicodes.boolfun import (
     delta,
     high_degree_masks,
     interpolate_low_degree,
+    mobius,
     monomial_sum,
     monomial_tt,
     monomials_by_degree,
@@ -30,6 +31,7 @@ from faicodes.immunity import (
     _degree_order,
     _layers,
     _least_total,
+    _product_rows,
     ai,
     annihilator_witness,
     fai,
@@ -416,6 +418,22 @@ def test_floor_stopped_pass_matches_full_pass(monkeypatch):
     assert counts["floor"] < counts["full"], counts
 
 
+def test_packed_product_rows_match_per_row_transform():
+    # n <= 2 packs byte strides; n = 11, 12 split the middle levels into chunks, the last one partial
+    rng = random.Random(27)
+    cases = [(n, level) for n in range(1, 13) for level in monomials_by_degree(n)]
+    cases.append((16, monomials_by_degree(16)[8][:3]))  # one row per chunk
+    for n, level in cases:
+        to_degree = _degree_order(n).to_degree
+        size = 1 << n
+        sparse = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+        for tt in (rng.getrandbits(size), sparse, 1 << rng.randrange(size), (1 << size) - 1):
+            f = BooleanFunction(n, tt)
+            want = [_permute(mobius(tt & monomial_tt(m, n), n), to_degree) for m in level]
+            assert list(_product_rows(f, level, to_degree)) == want, (n, len(level), tt)
+            assert list(_product_rows(f, level)) == [mobius(tt & monomial_tt(m, n), n) for m in level]
+
+
 def _admissible_mu(rows, anf_f_perm, annihilators_ok):
     """Reference readout: (mu', witness row) from the basis rows as (degree, row) pairs, by degree.
 
@@ -474,8 +492,9 @@ def _fai_direct_butterfly(f):
         np.maximum(g_deg, np.where(chosen, np.int8(m.bit_count()), np.int8(0)), out=g_deg)
     prod = g_tt & np.uint64(f.tt)
     anf = prod.copy()
+    block = (1 << (1 << n)) - 1  # the masks span 2^MAX_VARS bits; a lane holds one 2^n-bit table
     for shift, mask in _butterfly_masks(n):
-        anf ^= (anf & np.uint64(mask)) << np.uint64(shift)
+        anf ^= (anf & np.uint64(mask & block)) << np.uint64(shift)
     deg_p = np.zeros(idx.shape, dtype=np.int8)
     for high in high_degree_masks(n)[:n]:
         deg_p += ((anf & np.uint64(high)) != 0).astype(np.int8)

@@ -330,15 +330,16 @@ def test_pai_certificate_matches_unfloored_pass():
 
 
 def test_pai_certificate_permutes_only_the_read_layers(monkeypatch):
-    # Carlet-Feng at offset 0: the lazy pass permutes f's ANF and its 130 (n = 9) or 93 (n = 8) products
+    # Carlet-Feng at offset 0: the lazy pass transforms the 130 (n = 9) or 93 (n = 8) products of
+    # levels 0..3, f's own among them; each row packed into a chunk reads one monomial table
     calls = []
-    permute = immunity._permute
+    table = immunity.monomial_tt
 
-    def counting_permute(bits, network):
-        calls.append(bits)
-        return permute(bits, network)
+    def counting_table(mask, n):
+        calls.append(mask)
+        return table(mask, n)
 
-    monkeypatch.setattr(immunity, "_permute", counting_permute)
+    monkeypatch.setattr(immunity, "monomial_tt", counting_table)
     for n, bound in ((9, 131), (8, 94)):
         calls.clear()
         assert pai_certificate(function_from_columns(carlet_feng_support(n, 0)))["pai_by_def"]
