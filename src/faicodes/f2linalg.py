@@ -287,10 +287,10 @@ def from_text(text: str) -> BitMatrix:
     start = next((i for i, ln in enumerate(lines) if ln), None)
     if start is None:
         raise ValueError("empty matrix text")
-    try:
-        rows, cols = (int(tok) for tok in lines[start].split())
-    except ValueError as exc:
-        raise ValueError(f"bad matrix header: {lines[start]!r}") from exc
+    header = lines[start].split()
+    if len(header) != 2 or not all(map(str.isdecimal, header)):  # two sizes, neither signed
+        raise ValueError(f"bad matrix header: {lines[start]!r}")
+    rows, cols = map(int, header)
     body = lines[start + 1 :]
     if cols:
         body = [ln for ln in body if ln]  # a row of positive width is never blank

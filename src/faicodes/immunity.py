@@ -201,21 +201,19 @@ def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
 
 
 class _DegreeOrder(NamedTuple):
-    # gathers: position p gets the coefficient of mask masks[p], in every row of a packed chunk
+    # gathers mask masks[p] to position p in each row of a packed chunk, or in one row; reversed, it scatters
     to_degree: _Network
-    from_degree: _Network  # the network itself: position p goes back to mask masks[p]
     deg_at: tuple[int, ...]  # degree of the monomial at each degree-ordered position
 
 
 @lru_cache(maxsize=None)
 def _degree_order(n: int) -> _DegreeOrder:
     masks = monomials_upto(n, n)
-    network = _benes(masks)
     width, copies = _chunk_shape(n)
     to_degree = tuple(
-        (d, int.from_bytes(mask.to_bytes(width, "little") * copies, "little")) for d, mask in network[::-1]
+        (d, int.from_bytes(mask.to_bytes(width, "little") * copies, "little")) for d, mask in _benes(masks)[::-1]
     )
-    return _DegreeOrder(to_degree, network, tuple(m.bit_count() for m in masks))
+    return _DegreeOrder(to_degree, tuple(m.bit_count() for m in masks))
 
 
 class _Layer(NamedTuple):
@@ -228,8 +226,8 @@ class _Layer(NamedTuple):
     lda: int | None  # lda(f) when it is <= k, else None
 
 
-def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
-    """Insert each product f*m once, monomials in degree order; yield k = 1..n.
+def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
+    """Insert each product f*m of a nonzero f once, in degree order; yield k = 1..n.
 
     Each level's products come in degree-ordered ANF from `_product_rows`,
     one butterfly and one pass of to_degree per chunk.  A chunk is
@@ -250,16 +248,17 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
     is mu_k, through g = 1 + an annihilator, when lda(f) <= k, and the next
     row's degree otherwise.
 
-    floor, when given, is lda(1+f), which bounds every mu_k from below (a
-    nonzero f*g annihilates 1+f); a layer under it raises AssertionError.
-    mu and mu' never rise, so from the first layer with mu'_k == floor on,
-    mu = mu' = floor.  Once lda(f) is known there too (found, or k + 1 when
-    C(n, <= k + 1) > wt(f)) the pass stops inserting; only the rows of the
-    later layers, none of which can be _best_layer, may differ.
+    floor is lda(1+f), a lower bound on every mu_k (a nonzero f*g annihilates
+    1+f); a layer under it raises AssertionError.  mu, mu' never rise, so from
+    the first layer with mu'_k == floor on, mu = mu' = floor.  Once lda(f) is
+    known there too (found, or k + 1 when C(n, <= k + 1) > wt(f)) the pass
+    stops inserting; only the rows of later layers, none of them _best_layer,
+    may differ.  Floor 0 is the full pass: only f = 1, with no annihilator,
+    has mu'_k = 0.
     """
     n = f.n
     weight = f.tt.bit_count()
-    to_degree, _, deg_at = _degree_order(n)
+    to_degree, deg_at = _degree_order(n)
     # slots[p + 1] holds the basis row led by degree-ordered bit p, so the nonzero slots list
     # the rows by degree; slots[0] stays 0, and insert's loop ends on it once a row reduces to 0
     slots = [0] * ((1 << n) + 1)
@@ -291,11 +290,10 @@ def _layers(f: BooleanFunction, floor: int | None = None) -> Iterator[_Layer]:
                 row = None  # only f sits at mu_k
             else:
                 mu_adm = above
-        if floor is not None:
-            if mu < floor:
-                raise AssertionError("a product of f has degree below lda(1+f)")
-            # lda(f) unknown: the rank products so far are independent
-            settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
+        if mu < floor:
+            raise AssertionError("a product of f has degree below lda(1+f)")
+        # lda(f) unknown: the rank products so far are independent
+        settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
         yield _Layer(k, mu, mu_adm, row, lda_f)
 
 
@@ -305,20 +303,22 @@ def _best_layer(layers: Iterable[_Layer]) -> _Layer:
 
 
 def profile(f: BooleanFunction) -> ImmunityProfile:
-    return ImmunityProfile(f.n, tuple(layer.mu for layer in _layers(f)))
+    """(mu_1, ..., mu_n) from the pass floored at lda(1+f); all None when f = 0."""
+    mu = (None,) * f.n if f.tt == 0 else tuple(layer.mu for layer in _layers(f, lda(complement(f))))
+    return ImmunityProfile(f.n, mu)
 
 
 def fai(f: BooleanFunction) -> FaiResult:
     """Fast algebraic immunity with a verified optimal witness.
 
-    Layered search over k = deg(g): for each k the product basis is reduced in
-    degree order, the smallest admissible product degree mu'_k is read off, and
-    the best k + mu'_k wins.  The witness is rebuilt by solving f*g = v over
-    the monomials of degree <= k and re-checked by explicit multiplication.
+    Layered search over k = deg(g), floored at lda(1+f): for each k the
+    product basis is reduced in degree order, the least admissible product
+    degree mu'_k is read off, and the best k + mu'_k wins.  The witness solves
+    f*g = v over the monomials of degree <= k, re-checked by multiplication.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
-    return _fai(f, list(_layers(f)))
+    return _fai(f, list(_layers(f, lda(complement(f)))))
 
 
 def _fai(f: BooleanFunction, layers: list[_Layer]) -> FaiResult:
@@ -353,7 +353,7 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
         g_coeffs = ann.coeffs ^ 1
         v_anf = mobius(f.tt, n)
     else:
-        v_anf = _permute(layer.row, _degree_order(n).from_degree)
+        v_anf = _permute(layer.row, _degree_order(n).to_degree[::-1])
         monos = monomials_upto(n, k)
         combo = solve_preimage(_products(f, monos), v_anf)
         if combo is None:

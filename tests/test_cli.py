@@ -190,6 +190,16 @@ def test_lcd_check_runs_one_gram(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_lcd_check_refuses_a_negative_size(tmp_path, capsys):
+    # exit 1 reports a violation, so a malformed header must exit 2, not end in a traceback
+    path = tmp_path / "gen.txt"
+    for text in ("-1 3\n", "-2 0\n\n", "1 -3\n101\n"):
+        path.write_text(text)
+        code, out, err = run(capsys, "lcd-check", str(path))
+        assert code == 2, text
+        assert out == "" and "bad matrix header" in err, text
+
+
 @pytest.mark.parametrize("command", [("rm", "1", "4"), ("pai-verify", "4:195F"), ("carlet-feng", "4")],
                          ids=["rm", "pai-verify", "carlet-feng"])
 @pytest.mark.parametrize(

@@ -306,6 +306,10 @@ def test_text_roundtrip_and_errors():
         from_text("3 0\n\n\n")  # one zero-width row missing
     # comments are skipped, and blank lines after the rows are not rows
     assert from_text("# c\n2 0\n# c\n\n\n\n\n") == BitMatrix.from_rows((0, 0), 0)
+    # a size is unsigned decimal digits; a negative row count must not reach the blank-line trim
+    for text in ("-1 3\n", "-2 0\n\n", "1 -3\n101\n", "+1 3\n101\n", "1_0 0\n", "1 3 4\n101\n"):
+        with pytest.raises(ValueError, match="bad matrix header"):
+            from_text(text)
 
 
 def test_to_text_matches_per_column_loop():
@@ -389,7 +393,8 @@ def test_degree_order_network_matches_bit_loop():
         assert order.deg_at == tuple(m.bit_count() for m in masks)
         for row in _rows(size, rng):
             assert _permute(row, order.to_degree) == _bit_loop(row, pos), (n, row)
-            assert _permute(row, order.from_degree) == _bit_loop(row, masks), (n, row)
+            # reversed, the row-stride masks act on one 2^n-bit row as the plain network does
+            assert _permute(row, order.to_degree[::-1]) == _bit_loop(row, masks), (n, row)
 
 
 def test_benes_routes_random_permutations():

@@ -23,7 +23,7 @@ from faicodes.boolfun import (
     random_nonconstant,
     tt_of,
 )
-from faicodes.f2linalg import BitMatrix, _permute, insert, kernel_basis, row_space_meet_dim, solve_preimage
+from faicodes.f2linalg import BitMatrix, _permute, insert, kernel_basis, rank, row_space_meet_dim, solve_preimage
 import faicodes.immunity as immunity
 from faicodes.immunity import (
     ImmunityProfile,
@@ -328,8 +328,8 @@ def _two_sided_cases():
 
 
 def _fai_value(f):
-    """Reference: FAI(f) from the unbounded product pass, without a witness."""
-    best = _best_layer(_layers(f))
+    """Reference: FAI(f) from the full product pass (floor 0), without a witness."""
+    best = _best_layer(_layers(f, 0))
     return best.k + best.mu_adm
 
 
@@ -381,6 +381,40 @@ def test_lda_counting_bound_matches_unbounded():
         assert ai(f) == min(v for v in want if v is not None), f
 
 
+def _annihilator_dims(f):
+    """A_f(d) for d = 0..n: C(n, <= d) minus the rank of the truth-table columns f*m, deg m <= d."""
+    n, monos, dims = f.n, [], []
+    for level in monomials_by_degree(n):
+        monos += level
+        dims.append(len(monos) - rank(BitMatrix.from_rows((f.tt & monomial_tt(m, n) for m in monos), 1 << n)))
+    return dims
+
+
+def _duality_cases():
+    """Every function at n <= 3, then seeded dense, sparse, one-point and co-one-point ones at n = 4..9."""
+    yield from _functions(3, (), 0, seed=0)
+    rng = random.Random(28)
+    for n in range(4, 10):
+        size = 1 << n
+        for _ in range(2):
+            point = 1 << rng.randrange(size)
+            yield BooleanFunction(n, rng.getrandbits(size))
+            yield BooleanFunction(n, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size))
+            yield BooleanFunction(n, point)
+            yield BooleanFunction(n, ((1 << size) - 1) ^ point)
+
+
+def test_annihilator_dimensions_obey_duality():
+    # RM(d, n) restricted to supp(f) has as dual RM(n - d - 1, n) shortened off supp(f), so
+    # A_f(d) = C(n, <= d) - wt(f) + A_{1+f}(n - d - 1), with A(-1) = 0
+    for f in _duality_cases():
+        n, weight = f.n, f.tt.bit_count()
+        dims, dims_c = _annihilator_dims(f), [0, *_annihilator_dims(complement(f))]  # dims_c[j + 1] = A_{1+f}(j)
+        for d in range(n + 1):
+            below = sum(math.comb(n, i) for i in range(d + 1))
+            assert dims[d] == below - weight + dims_c[n - d], (f, d)
+
+
 def _floor_cases():
     """Every function at n <= 3, then seeded dense and sparse ones at n = 4..11."""
     yield from _functions(3, (), 0, seed=0)
@@ -396,26 +430,30 @@ def test_floor_stopped_pass_matches_full_pass(monkeypatch):
     inserted = []
     monkeypatch.setattr(immunity, "insert", lambda slots, row: inserted.append(1) or insert(slots, row))
     full_pass = immunity._layers
-    counts = {"full": 0, "floor": 0}
+    calls = (function_report, fai, profile)
+    counts = {(call.__name__, side): 0 for call in calls for side in ("full", "floor")}
     for f in _floor_cases():
         if f.tt == 0:
             continue
-        full, stopped = list(_layers(f)), list(_layers(f, lda(complement(f))))
+        # floor 0 never settles a nonzero f: the full pass
+        full, stopped = list(_layers(f, 0)), list(_layers(f, lda(complement(f))))
         assert [(lay.k, lay.mu, lay.mu_adm, lay.lda) for lay in stopped] == [
             (lay.k, lay.mu, lay.mu_adm, lay.lda) for lay in full
         ], f
         best = _best_layer(full)
         assert _best_layer(stopped) == best and stopped[: best.k] == full[: best.k], f
-        del inserted[:]
-        with monkeypatch.context() as m:
-            m.setattr(immunity, "_layers", lambda g, floor=None: full_pass(g))
-            want = function_report(f)
-        counts["full"] += len(inserted)
-        del inserted[:]
-        assert function_report(f) == want, f
-        counts["floor"] += len(inserted)
-    # the report's floor has to end some passes early, or this compares a pass with itself
-    assert counts["floor"] < counts["full"], counts
+        for call in calls:
+            del inserted[:]
+            with monkeypatch.context() as m:
+                m.setattr(immunity, "_layers", lambda g, floor: full_pass(g, 0))
+                want = call(f)
+            counts[call.__name__, "full"] += len(inserted)
+            del inserted[:]
+            assert call(f) == want, (call.__name__, f)
+            counts[call.__name__, "floor"] += len(inserted)
+    # each call's floor has to end some passes early, or this compares a pass with itself
+    for call in calls:
+        assert counts[call.__name__, "floor"] < counts[call.__name__, "full"], counts
 
 
 def test_packed_product_rows_match_per_row_transform():
@@ -465,10 +503,10 @@ def test_layer_readout_matches_list_reference(monkeypatch):
         if f.tt == 0:
             continue
         n = f.n
-        to_degree, _, deg_at = _degree_order(n)
+        to_degree, deg_at = _degree_order(n)
         anf_f_perm = _permute(anf_of(f).coeffs, to_degree)
         lda_f = lda(f)
-        for floor in (None, lda(complement(f))):
+        for floor in (0, lda(complement(f))):  # the full pass, and the floored one
             del basis[:]
             for k, layer in enumerate(_layers(f, floor), start=1):  # read each layer as it is yielded
                 rows = [(deg_at[p - 1], row) for p, row in enumerate(basis[-1]) if row]

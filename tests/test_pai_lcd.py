@@ -319,12 +319,12 @@ def test_first_full_order_gives_lda_of_complement():
 
 
 def test_pai_certificate_matches_unfloored_pass():
-    # the unfloored product pass and per-order truth-table ranks, the route the certificate replaced
+    # the full product pass (floor 0) and per-order truth-table ranks, the route the certificate replaced
     for f in _duality_functions():
         if f.n > 8:
             continue
         cert = pai_certificate(f)
-        best = _best_layer(list(_layers(f)))
+        best = _best_layer(list(_layers(f, 0)))
         assert cert["fai"] == best.k + best.mu_adm, f
         assert [entry["dim"] for entry in cert["per_e_lcd_status"]] == _truth_table_ranks(f)[1:], f
 
