@@ -128,13 +128,15 @@ def rank(m: BitMatrix) -> int:
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of {x : m @ x^T = 0}, one kernel vector per row (cols bits each)."""
+    """Basis of {x : m @ x^T = 0}, one kernel vector per row (cols bits each).
+
+    Free column c gives x_c = 1, and x_p = 1 at the pivot p of each RREF row with bit c.
+    """
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    pivot_bits = [1 << p for p in pivots]  # row i of red leads at pivots[i]
-    columns = transpose(red).data
     free = (c for c in range(m.cols) if c not in pivot_set)
-    return BitMatrix.from_rows((1 << c | combine(columns[c], pivot_bits) for c in free), m.cols)
+    kernel = (1 << c | sum(1 << p for p, row in zip(pivots, red.data) if row >> c & 1) for c in free)
+    return BitMatrix.from_rows(kernel, m.cols)
 
 
 def stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -288,7 +290,7 @@ def from_text(text: str) -> BitMatrix:
     if start is None:
         raise ValueError("empty matrix text")
     header = lines[start].split()
-    if len(header) != 2 or not all(map(str.isdecimal, header)):  # two sizes, neither signed
+    if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):  # two sizes, ASCII, unsigned
         raise ValueError(f"bad matrix header: {lines[start]!r}")
     rows, cols = map(int, header)
     body = lines[start + 1 :]

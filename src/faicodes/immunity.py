@@ -9,7 +9,6 @@ when f has a nonzero annihilator of degree <= k.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
@@ -31,8 +30,6 @@ from .boolfun import (
     monomials_upto,
 )
 from .f2linalg import BitMatrix, _benes, _Network, _permute, combine, insert, rref, solve_preimage, transpose
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ class _Layer(NamedTuple):
     """The product basis of f once every monomial of degree <= k is in."""
 
     k: int
-    mu: int | None  # mu_k(f)
+    mu: int  # mu_k(f)
     mu_adm: int | None  # mu'_k: the minimum over g not in {0, 1}
     row: int | None  # a permuted basis row of degree mu'_k; None when that product is f
     lda: int | None  # lda(f) when it is <= k, else None
@@ -278,11 +275,11 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
             elif lda_f is None:
                 lda_f = k
         if not k:
-            anf_f_perm = row if rank else 0  # level 0's one product, f*1 = f; none is taken when f = 0
+            anf_f_perm = row  # level 0's one product, f*1 = f
             continue
         rows = filter(None, slots)
-        row = next(rows, None)
-        mu = mu_adm = None if row is None else deg_at[row.bit_length() - 1]
+        row = next(rows)
+        mu = mu_adm = deg_at[row.bit_length() - 1]
         if row == anf_f_perm:
             row = next(rows, None)
             above = None if row is None else deg_at[row.bit_length() - 1]
@@ -329,15 +326,6 @@ def _fai(f: BooleanFunction, layers: list[_Layer]) -> FaiResult:
     value = best.k + best.mu_adm
     profile_bound = ImmunityProfile(f.n, tuple(layer.mu for layer in layers)).min_k_plus_mu()
     witness = _extract_witness(f, best)
-    if value != profile_bound:
-        logger.info(
-            "FAI definition (%d) differs from the profile bound min_k(k + mu_k) = %d "
-            "for tt=%#x, n=%d (products reachable only through g = 1)",
-            value,
-            profile_bound,
-            f.tt,
-            f.n,
-        )
     if witness.total != value:
         raise AssertionError("FAI witness total does not match the layered search")
     return FaiResult(value, witness, profile_bound)
@@ -383,17 +371,17 @@ def ffai(f: BooleanFunction) -> int:
         raise ValueError("FFAI is undefined for constant functions")
     fc = complement(f)
     lda_f, lda_fc = lda(f), lda(fc)
-    return _least_total(_layers(fc, lda_f), lda_f, _least_total(_layers(f, lda_fc), lda_fc))
+    return _least_total(fc, lda_f, _least_total(f, lda_fc))
 
 
-def _least_total(layers: Iterator[_Layer], floor: int, best: float = inf) -> int:
+def _least_total(f: BooleanFunction, floor: int, best: float = inf) -> int:
     """min(best, least k + mu'_k) over the lazy pass on a nonzero f floored at floor.
 
     Layer k has k + mu'_k >= k + floor, so no layer k with k + floor >= best
     is read, and its level is never inserted.
     """
     if 1 + floor < best:
-        for layer in layers:
+        for layer in _layers(f, floor):
             if layer.mu_adm is not None:
                 best = min(best, layer.k + layer.mu_adm)
             if layer.k + 1 + floor >= best:
@@ -470,7 +458,7 @@ def function_report(f: BooleanFunction) -> dict:
         "lda_fc": lda_fc,
         "profile": [layer.mu for layer in layers],
         "fai": res.value,
-        "ffai": None if f.is_constant() else _least_total(_layers(fc, lda_f), lda_f, res.value),
+        "ffai": None if f.is_constant() else _least_total(fc, lda_f, res.value),
         "witness_g": format_anf(res.witness.g),
         "witness_total": res.witness.total,
     }

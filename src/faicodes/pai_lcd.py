@@ -43,7 +43,7 @@ from .codes import (
 )
 from .f2linalg import BitMatrix, insert, rank, row_space_meet_dim
 from .gf2m import FieldGF2n, enumerate_points, field_new
-from .immunity import _layers, _least_total, fai
+from .immunity import _least_total, fai
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,21 @@ class SupportColumns:
         return frozenset(range(1 << self.n)) - self.cols
 
 
+def _points(n: int, field: FieldGF2n | None) -> tuple[int, ...]:
+    """The RM column order of GF(2^n) on field, by default the default field."""
+    if field is not None and field.n != n:
+        raise ValueError("field degree does not match the variable count")
+    return enumerate_points(field or field_new(n))
+
+
 def support_columns(f: BooleanFunction, field: FieldGF2n | None = None) -> SupportColumns:
-    pts = enumerate_points(field or field_new(f.n))
+    pts = _points(f.n, field)
     cols = frozenset(j for j, pt in enumerate(pts) if (f.tt >> pt) & 1)
     return SupportColumns(f.n, cols)
 
 
 def function_from_columns(sc: SupportColumns, field: FieldGF2n | None = None) -> BooleanFunction:
-    pts = enumerate_points(field or field_new(sc.n))
+    pts = _points(sc.n, field)
     tt = 0
     for j in sc.cols:
         tt |= 1 << pts[j]
@@ -208,7 +215,7 @@ def pai_certificate(f: BooleanFunction) -> dict:
     wt = f.tt.bit_count()
     dims = _restricted_dims(f)
     floor = n - dims.index(wt)  # lda(1+f)
-    value = _least_total(_layers(f, floor), floor)
+    value = _least_total(f, floor)
     high = high_degree_masks(n)
     gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v], in degree order
     per_e = []

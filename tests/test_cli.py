@@ -191,10 +191,11 @@ def test_lcd_check_runs_one_gram(tmp_path, capsys, monkeypatch):
 
 
 def test_lcd_check_refuses_a_negative_size(tmp_path, capsys):
-    # exit 1 reports a violation, so a malformed header must exit 2, not end in a traceback
+    # exit 1 reports a violation, so a malformed header must exit 2, not end in a traceback;
+    # nor may full-width digits, which int() reads as 3, pass as a size
     path = tmp_path / "gen.txt"
-    for text in ("-1 3\n", "-2 0\n\n", "1 -3\n101\n"):
-        path.write_text(text)
+    for text in ("-1 3\n", "-2 0\n\n", "1 -3\n101\n", "３ ３\n101\n010\n111\n"):
+        path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "lcd-check", str(path))
         assert code == 2, text
         assert out == "" and "bad matrix header" in err, text

@@ -11,6 +11,10 @@ weight: delete it, or call it from the package.
 A module-level import fails when the importing module never refers to the
 name it binds; `__init__.py`, whose imports are the package's re-exports,
 and `from __future__` imports are exempt.
+
+A parameter with a default fails when no call in the package sets it, by
+keyword or by position: an option that only ever takes one value is not an
+option.  `cli.main`'s `argv` is exempt; the tests and the bench pass it.
 """
 
 import ast
@@ -123,3 +127,64 @@ def test_an_unused_import_is_caught_and_re_exports_are_not():
         "m.py: INF",
         "m.py: os",
     ]
+
+
+def _unset_defaults(sources):
+    """The labels of the default-valued parameters in sources ({file name: text}) that no call sets.
+
+    Calls are matched to functions by name, bare or attribute.  A call sets a
+    parameter when it names it as a keyword, passes a positional argument at
+    its place (a method's self not counted), or unpacks * or ** that far.
+    """
+    params, keywords, reach = [], set(), {}
+    for file_name, text in sources.items():
+        tree = ast.parse(text, file_name)
+        methods = {
+            id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and "staticmethod" not in {getattr(d, "id", None) for d in item.decorator_list}
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                skip = id(node) in methods
+                for i, arg in enumerate(positional[first:], start=first - skip):
+                    params.append((node.name, arg.arg, i, f"{file_name}: {node.name}({arg.arg})"))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        params.append((node.name, arg.arg, None, f"{file_name}: {node.name}({arg.arg})"))
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                reach[name] = max(reach.get(name, 0), float("inf") if starred else len(node.args))
+                keywords |= {(name, kw.arg) for kw in node.keywords}  # kw.arg is None for **
+    return sorted(
+        label for name, arg, position, label in params
+        if not ({(name, arg), (name, None)} & keywords or (position is not None and reach.get(name, 0) > position))
+    )
+
+
+def test_every_default_is_set_by_some_call():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert [label for label in _unset_defaults(sources) if label != "cli.py: main(argv)"] == []
+
+
+def test_a_default_no_call_sets_is_caught():
+    source = (
+        "class Box:\n"
+        "    def put(self, item, lid=False, tag=None): ...\n"
+        "def pack(items, box=None, *, size=1, fast=False):\n"
+        "    for item in items:\n"
+        "        (box or Box()).put(item, True)\n"
+        "    return size\n"
+        "def run(args, opts):\n"
+        "    pack(*args)\n"
+        "    pack([], fast=True)\n"
+        "    pack([], **opts)\n"
+    )
+    # put's lid is set by position past self; pack's box only through *args, size only through **opts
+    assert _unset_defaults({"m.py": source}) == ["m.py: put(tag)"]
+    without_opts = source.replace("    pack([], **opts)\n", "")
+    assert _unset_defaults({"m.py": without_opts}) == ["m.py: pack(size)", "m.py: put(tag)"]

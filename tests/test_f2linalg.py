@@ -307,7 +307,8 @@ def test_text_roundtrip_and_errors():
     # comments are skipped, and blank lines after the rows are not rows
     assert from_text("# c\n2 0\n# c\n\n\n\n\n") == BitMatrix.from_rows((0, 0), 0)
     # a size is unsigned decimal digits; a negative row count must not reach the blank-line trim
-    for text in ("-1 3\n", "-2 0\n\n", "1 -3\n101\n", "+1 3\n101\n", "1_0 0\n", "1 3 4\n101\n"):
+    # nor may a full-width digit pass as one
+    for text in ("-1 3\n", "-2 0\n\n", "1 -3\n101\n", "+1 3\n101\n", "1_0 0\n", "1 3 4\n101\n", "３ ３\n101\n010\n111\n"):
         with pytest.raises(ValueError, match="bad matrix header"):
             from_text(text)
 

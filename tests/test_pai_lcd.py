@@ -366,8 +366,13 @@ def test_corrected_lcd_equivalence_random_n5():
         (lambda: ai_exceeds_via_dims(MAJ3, 4), "order 4 out of range 1..3"),
         (lambda: fai_at_least_via_codes(BooleanFunction(3, 0), 2), "zero function"),
         (lambda: is_pai_via_lcd(BooleanFunction(3, 0)), "nonzero function"),
+        # a field of another degree would scatter the columns over 32 points, keep 8 of 16, or index past 8
+        (lambda: support_columns(all_ones(4), field_new(5)), "field degree does not match"),
+        (lambda: support_columns(all_ones(4), field_new(3)), "field degree does not match"),
+        (lambda: function_from_columns(SupportColumns(4, frozenset({9, 15})), field_new(3)), "field degree does not match"),
     ],
-    ids=["dims-order-low", "dims-order-high", "codes-zero", "lcd-zero"],
+    ids=["dims-order-low", "dims-order-high", "codes-zero", "lcd-zero", "columns-wider-field", "columns-narrower-field",
+         "function-narrower-field"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):

@@ -1,9 +1,12 @@
 import random
 
 import numpy as np
+import pytest
 
-from faicodes.boolfun import BooleanFunction, complement
-from faicodes.sweeps import _annihilates_a_side, _brute_ai_table_n4, _low_degree_tts
+from faicodes import sweeps
+from faicodes.boolfun import BooleanFunction, complement, parse_function
+from faicodes.immunity import fai
+from faicodes.sweeps import SweepReport, _annihilates_a_side, _brute_ai_table_n4, _diverged_class_ok, _low_degree_tts
 
 
 def _per_g_ai_table_n4():
@@ -47,3 +50,39 @@ def test_one_pass_over_g_matches_each_side_alone():
         for e in degrees:
             want = _has_annihilator(f, e) or _has_annihilator(complement(f), e)
             assert _annihilates_a_side(f.tt, f.n, e) == want, (f, e)
+
+
+@pytest.mark.parametrize(
+    "sweep, args, prop, checks",
+    [
+        (sweeps.sweep_fai_oracle, (4, 10, 1), "divergence-class", 11),  # one of the ten draws diverges
+        (sweeps.sweep_fai_bounds, (1, 3, 0), "fai-singleton-n-plus-1", 57),
+        (sweeps.sweep_approximation, (2, 20, 0), "johansson-wang-singleton", 130),
+        (sweeps.sweep_codes, (2, 50, 2), "even-like-lcd-even-dim", 317),
+    ],
+    ids=["fai-oracle", "fai-bounds", "approximation", "codes"],
+)
+def test_sweep_reaches_its_rare_branch(sweep, args, prop, checks, monkeypatch):
+    # each seeded run draws an input that takes the branch of prop, and passes it
+    props = []
+    check = SweepReport.check
+    monkeypatch.setattr(
+        SweepReport, "check", lambda rep, ok, name, detail: props.append(name) or check(rep, ok, name, detail)
+    )
+    rep = sweep(*args)
+    assert rep.ok, rep.failures
+    assert prop in props and rep.checks == len(props) == checks
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("4:0356", True),
+        ("3:07", False),  # mu_k != deg f at the optimal k
+        ("3:01", False),  # lda(f) <= k
+        ("3:17", False),  # the product space meets the degree <= deg f ANFs in dimension != 1
+    ],
+)
+def test_diverged_class_at_the_profile_bound(spec, want):
+    f = parse_function(spec)
+    assert _diverged_class_ok(f, fai(f).profile_bound) is want
