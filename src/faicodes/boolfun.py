@@ -66,6 +66,12 @@ def monomial_tt(mask: int, n: int) -> int:
     return mobius(1 << mask, n)
 
 
+@lru_cache(maxsize=8192)
+def comonomial_tt(mask: int, n: int) -> int:
+    """Truth table of prod_{j in mask} (1 + x_j), the points that avoid mask: the ANF sums x^s over s ⊆ mask."""
+    return mobius(superset_parity(1 << mask, n), n)
+
+
 @lru_cache(maxsize=None)
 def monomials_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
     """Monomial masks grouped by degree: level d holds all masks of popcount d."""

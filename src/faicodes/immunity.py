@@ -19,6 +19,7 @@ from .boolfun import (
     Anf,
     BooleanFunction,
     anf_degree,
+    comonomial_tt,
     complement,
     degree,
     format_anf,
@@ -74,13 +75,23 @@ class FaiResult:
 
 
 def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
-    """The column route: the least d where a column tt*m, deg m = d, depends on earlier ones.
+    """The column route: the least d where a column of degree d depends on earlier ones.
 
-    Each table's columns, monomials in degree order, go into its own XOR
-    basis, level by level; each monomial's truth table is read once for all
-    tables.  The columns live on supp(tt), so once C(n, <= d) exceeds the
-    lightest weight, level d is dependent and no lower level was: d is
-    returned without inserting it.  None when no column depends.
+    The columns are co-monomial: tt * prod_{j in m} (1 + x_j) for the masks m
+    in degree order, `comonomial_tt(m, n)` read once for all tables.  That
+    product is the sum of x^s over s ⊆ m, unitriangular in degree order, so
+    the columns of degree <= d span what the monomial columns tt*m do, and
+    every level is dependent exactly when it is with monomials.  insert
+    pivots on the highest bit: monomial columns lead at the top points of
+    supp(tt), which cover nearly every m, so their leads pile up and each
+    insert walks a long chain, while a co-monomial column leads at ~m
+    whenever ~m is in supp(tt), so leads mostly differ (notes/decisions.md,
+    section 14).
+
+    Each table's columns go into its own XOR basis, level by level.  They
+    live on supp(tt), so once C(n, <= d) exceeds the lightest weight, level
+    d is dependent and no lower level was: d is returned without inserting
+    it.  None when no column depends.
 
     Level 0's one column is tt itself, nonzero once the weight test passed,
     so it seeds each empty basis in the slot insert would give it.
@@ -99,7 +110,7 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
         if count > lightest:
             return d
         for m in level:
-            column = monomial_tt(m, n)
+            column = comonomial_tt(m, n)
             for tt, slots in bases:
                 if not insert(slots, tt & column):
                     return d
@@ -109,7 +120,8 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
 def lda(f: BooleanFunction) -> int | None:
     """Lowest degree of a nonzero annihilator of f; None when f is all-ones.
 
-    The column scan of f alone, which ends by the first d with C(n, <= d) > wt(f).
+    The co-monomial column scan of f alone, which ends by the first d with
+    C(n, <= d) > wt(f).
     """
     return _first_dependency(f.n, (f.tt,))
 

@@ -6,13 +6,16 @@ as punctured-code dimensions, FAI as trivial meets with punctured duals,
 and perfect algebraic immunity as LCD-ness of every punctured order.
 
 The PAI certificate reads every order from truth-table coordinates: the
-rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and Massey's
-criterion gives hull = rank(G) - rank(G G^T) for any spanning set G.  One
-scan of those rows gives every order's dimension and, by the duality of
+rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and so do the
+co-monomial rows f * prod_{j in m} (1 + x_j), and Massey's criterion gives
+hull = rank(G) - rank(G G^T) for any spanning set G.  One scan of the
+co-monomial rows gives every order's dimension and, by the duality of
 puncturing and shortening, lda(1+f); the immunity engine's product pass,
 floored there, gives FAI and reads only the layers that can still lower
 it.  The Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
-superset-parity transform of f.  Length, dimension and hull do not change
+superset-parity transform of f; from the middle order 2e >= n - 1 on, the
+dual lies inside the code and the hull is wt - dim without a Gram matrix.
+Length, dimension and hull do not change
 when columns are permuted, so the verdicts take no GF(2^n) point order;
 only `support_columns` and `function_from_columns` take one.  The
 punctured-RM route stays as the independent oracle (`is_pai_via_lcd`,
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 from .boolfun import (
     BooleanFunction,
+    comonomial_tt,
     degree,
     format_function,
     high_degree_masks,
@@ -52,6 +56,11 @@ class SupportColumns:
 
     n: int
     cols: frozenset[int]
+
+    def __post_init__(self) -> None:
+        last = (1 << self.n) - 1
+        if self.cols and not (min(self.cols) >= 0 and max(self.cols) <= last):
+            raise ValueError(f"column out of range 0..{last}")
 
     def complement(self) -> frozenset[int]:
         return frozenset(range(1 << self.n)) - self.cols
@@ -169,7 +178,8 @@ def carlet_feng_support(n: int, offset: int = 0, count: int | None = None) -> Su
 def _restricted_dims(f: BooleanFunction) -> list[int]:
     """dim of RM(e, n) restricted to supp(f) for e = 0..n: the rank of the rows f*m, deg m <= e.
 
-    The rows go into one highest-bit XOR basis, monomials in degree order,
+    The co-monomial rows f * prod_{j in m} (1 + x_j), which span the same
+    space level by level, go into one highest-bit XOR basis in degree order,
     the column route of `immunity._first_dependency` run on to full rank:
     once the rank reaches wt(f) the rows span GF(2)^wt(f), and no later row
     is inserted.
@@ -181,7 +191,7 @@ def _restricted_dims(f: BooleanFunction) -> list[int]:
         for m in level:
             if dim == wt:
                 break
-            dim += insert(slots, f.tt & monomial_tt(m, n))
+            dim += insert(slots, f.tt & comonomial_tt(m, n))
         dims.append(dim)
     return dims
 
@@ -195,12 +205,14 @@ def pai_certificate(f: BooleanFunction) -> dict:
     Gamma(u, v) = F[u|v], where F[w] is the parity of supp(f) above w.  A
     column permutation changes none of the three, so the certificate is
     the same on every GF(2^n) point order and names no modulus.
-    One truth-table scan gives each order's dimension.  Once the rank
-    reaches wt(f), the code is all of GF(2)^wt(f), whose dual is zero: that
-    order and every later one keep that dimension and the zero hull, and
-    none of them builds Gram rows or ranks them.  A spanning set G of column
-    rank wt has ker G = 0, so G G^T x = 0 gives G^T x = 0 and
-    rank(G G^T) = rank(G^T) = wt.  The dual of order e is zero iff no
+    One co-monomial truth-table scan gives each order's dimension.  Once
+    the rank reaches wt(f), the code is all of GF(2)^wt(f), whose dual is
+    zero: that order and every later one keep that dimension and the zero
+    hull.  Once 2e >= n - 1, RM(n - e - 1, n) lies inside RM(e, n), so the
+    dual of order e, RM(n - e - 1, n) shortened to supp(f), lies inside the
+    code, and hull = wt - dim (notes/decisions.md, section 9).  Both
+    conditions hold from their first order on, and no such order builds
+    Gram rows or ranks them.  The dual of order e is zero iff no
     nonzero function of degree <= n - e - 1 vanishes off supp(f), that is,
     annihilates 1+f, so the first full order e* gives lda(1+f) = n - e*
     (notes/decisions.md, section 13).
@@ -220,8 +232,8 @@ def pai_certificate(f: BooleanFunction) -> dict:
     gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v], in degree order
     per_e = []
     for e, (dim, level) in enumerate(zip(dims[1:], monomials_by_degree(n)[1:]), start=1):
-        hull = 0  # dim == wt: the rows span GF(2)^wt, so rank(G G^T) = wt
-        if dim < wt:
+        hull = wt - dim  # dim == wt or 2e >= n - 1: the dual of order e lies inside it
+        if dim < wt and 2 * e < n - 1:
             for u in level:
                 low = u & -u  # row u at v is row u - low at v|low: copy those columns down
                 prev = gamma[u ^ low] & monomial_tt(low, n)

@@ -11,6 +11,7 @@ from faicodes.boolfun import (
     anf_of,
     apply_affine,
     bar,
+    comonomial_tt,
     complement,
     concatenate,
     degree,
@@ -169,6 +170,18 @@ def test_interpolate_guaranteed_existence():
 def test_monomial_tt():
     assert monomial_tt(0, 2) == 0b1111
     assert monomial_tt(0b11, 2) == 0b1000
+
+
+def test_comonomial_tt_marks_the_points_that_avoid_the_mask():
+    # prod_{j in m} (1 + x_j) is 1 exactly where no variable of m is set
+    def avoiding(m, n):
+        return sum(1 << x for x in range(1 << n) if x & m == 0)
+
+    for n in range(1, 7):
+        for m in range(1 << n):
+            assert comonomial_tt(m, n) == avoiding(m, n), (m, n)
+    for m in (0, 1, 0x8000, 0x0F0F, 0xFFFF):
+        assert comonomial_tt(m, 16) == avoiding(m, 16), m
 
 
 def test_monomials_upto():

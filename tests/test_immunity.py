@@ -609,8 +609,10 @@ def test_mul_space_basis_degree_range(k):
 
 
 def _side_major_first_dependency(n, tts):
-    """Reference: the column route side by side, each table's whole level into its own basis
-    before the next table's, every level from 0 inserted, monomial truth tables read per side."""
+    """The monomial-column reference: each table's whole level of columns tt*m into its own basis
+    before the next table's, every level from 0 inserted, monomial truth tables read per side.
+
+    The scan under test inserts co-monomial columns instead, another spanning set of each level."""
     lightest = min(tt.bit_count() for tt in tts)
     bases = [(tt, [0] * ((1 << n) + 1)) for tt in tts]
     count = 0
@@ -630,6 +632,31 @@ def test_first_dependency_matches_side_major_reference_n4():
     for tt in range(1 << 16):
         for tts in ((tt,), (tt, tt ^ 0xFFFF)):
             assert immunity._first_dependency(4, tts) == _side_major_first_dependency(4, tts), tts
+
+
+def test_comonomial_columns_take_fewer_reduction_steps(monkeypatch):
+    # the same d as the monomial-column reference in fewer reduction steps; each insert below
+    # runs f2linalg.insert's loop with a step counter, for the scan and the reference alike
+    steps = {}
+
+    def counting_insert(slots, row):
+        while other := slots[lead := row.bit_length()]:
+            row ^= other
+            steps[route] += 1
+        slots[lead] = row
+        return lead > 0
+
+    monkeypatch.setattr(immunity, "insert", counting_insert)
+    monkeypatch.setitem(globals(), "insert", counting_insert)
+    rng = random.Random(26)
+    for n in (10, 10, 11, 11):
+        f = random_nonconstant(n, rng)
+        steps.update(scan=0, reference=0)
+        route = "scan"
+        d = lda(f)
+        route = "reference"
+        assert d == _side_major_first_dependency(n, (f.tt,)), f
+        assert steps["scan"] < steps["reference"], (f, steps)
 
 
 def _first_dependency_cases():

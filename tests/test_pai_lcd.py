@@ -228,6 +228,10 @@ def _full_space_functions():
                 g = mobius(monomial_sum(rng.getrandbits(len(monos)), monos), n)
                 fh = g & rng.getrandbits(1 << n)
             yield BooleanFunction(n, fh)  # annihilated by 1 + g, of degree <= d
+    for n in (5, 6, 7, 8):  # heavy, alone and under an annihilator x1*x2: dim < wt past the middle order
+        heavy = ((1 << (1 << n)) - 1) ^ sum(1 << x for x in rng.sample(range(1 << n), n))
+        yield BooleanFunction(n, heavy)
+        yield BooleanFunction(n, heavy & ~monomial_tt(0b11, n))
     for _ in range(2):
         yield random_nonconstant(9, rng)
 
@@ -246,7 +250,8 @@ def test_pai_certificate_matches_punctured_rm():
 
 
 def test_pai_certificate_ranks_no_full_space_order(monkeypatch):
-    # from the first order with dim == wt on, the hull is 0 without a Gram rank
+    # from the first order with dim == wt or 2e >= n - 1 on, the dual lies inside the code:
+    # hull = wt - dim without a Gram rank, 0 on the full space
     calls = []
 
     def counting_rank(m):
@@ -254,21 +259,25 @@ def test_pai_certificate_ranks_no_full_space_order(monkeypatch):
         return rank(m)
 
     monkeypatch.setattr(pai_lcd, "rank", counting_rank)
-    skipped = ranked = 0
+    skipped = ranked = middle = 0
     for f in _full_space_functions():
         calls.clear()
         per_e = pai_certificate(f)["per_e_lcd_status"]
-        below = [entry["e"] for entry in per_e if entry["dim"] < entry["length"]]
-        assert below == list(range(1, len(below) + 1)), f  # the full space, once reached, stays
-        assert calls == [len(monomials_upto(f.n, e)) for e in below], f  # one rank per order below it
-        assert all(entry["hull"] == 0 for entry in per_e[len(below) :])
+        below = [entry["e"] for entry in per_e if entry["dim"] < entry["length"] and 2 * entry["e"] < f.n - 1]
+        assert below == list(range(1, len(below) + 1)), f  # both conditions, once broken, stay broken
+        assert calls == [len(monomials_upto(f.n, e)) for e in below], f  # one rank per order below both
+        assert all(entry["hull"] == 0 for entry in per_e if entry["dim"] == entry["length"])
+        assert all(entry["hull"] == entry["length"] - entry["dim"] for entry in per_e[len(below) :])
         skipped += len(per_e) - len(below)
         ranked += len(below)
-    assert skipped and ranked
+        middle += sum(entry["dim"] < entry["length"] for entry in per_e[len(below) :])
+    assert skipped and ranked and middle
 
 
 def _truth_table_ranks(f):
-    """rank of the rows f*m, deg m <= e, for e = 0..n, each from its own matrix."""
+    """The monomial-column reference: rank of the rows f*m, deg m <= e, for e = 0..n, each from its own matrix.
+
+    `_restricted_dims` scans co-monomial rows instead, another spanning set of each order."""
     rows = [f.tt & monomial_tt(m, f.n) for m in monomials_upto(f.n, f.n)]
     return [rank(BitMatrix.from_rows(rows[: len(monomials_upto(f.n, e))], f.size)) for e in range(f.n + 1)]
 
@@ -370,9 +379,13 @@ def test_corrected_lcd_equivalence_random_n5():
         (lambda: support_columns(all_ones(4), field_new(5)), "field degree does not match"),
         (lambda: support_columns(all_ones(4), field_new(3)), "field degree does not match"),
         (lambda: function_from_columns(SupportColumns(4, frozenset({9, 15})), field_new(3)), "field degree does not match"),
+        # column -1 would read the last point, and its complement would list all 16 columns; 20 indexes past 16
+        (lambda: function_from_columns(SupportColumns(4, frozenset({-1}))), r"column out of range 0\.\.15"),
+        (lambda: SupportColumns(4, frozenset({-1})).complement(), r"column out of range 0\.\.15"),
+        (lambda: function_from_columns(SupportColumns(4, frozenset({3, 20}))), r"column out of range 0\.\.15"),
     ],
     ids=["dims-order-low", "dims-order-high", "codes-zero", "lcd-zero", "columns-wider-field", "columns-narrower-field",
-         "function-narrower-field"],
+         "function-narrower-field", "columns-negative", "complement-negative", "columns-past-end"],
 )
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
