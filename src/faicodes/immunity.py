@@ -226,13 +226,24 @@ def _degree_order(n: int) -> _DegreeOrder:
 
 
 class _Layer(NamedTuple):
-    """The product basis of f once every monomial of degree <= k is in."""
+    """The product basis of f once every monomial of degree <= k is in.
+
+    Read on supp(f), the products span RM(k, n) restricted to supp(f), so
+    rank is that code's dimension.  Its dual is RM(n - k - 1, n) shortened
+    to supp(f), the products of degree <= n - k - 1, so hull counts the
+    basis rows of that degree.  Both are exact while k + floor < n.  From
+    order n - floor on the code is all of GF(2)^wt(f): its hull is 0, since
+    no product has degree below the floor, but a settled pass may report a
+    rank below wt(f).
+    """
 
     k: int
     mu: int  # mu_k(f)
     mu_adm: int | None  # mu'_k: the minimum over g not in {0, 1}
     row: int | None  # a permuted basis row of degree mu'_k; None when that product is f
     lda: int | None  # lda(f) when it is <= k, else None
+    rank: int  # the basis rank
+    hull: int  # basis rows of degree <= n - k - 1
 
 
 def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
@@ -248,33 +259,40 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     annihilator, so lda(f) comes with the pass.  The products span exactly
     the functions supported on supp(f), so once the basis has wt(f) rows
     every further product is dependent: the pass stops inserting, and the
-    later layers repeat the last one.
+    later layers read the same basis.
 
     Each layer reads the lowest one or two basis rows.  The lowest has degree
     mu_k; unless it is f, it is also the witness of mu'_k = mu_k.  If it is f
     and the next row has degree mu_k too, that row is the witness.  If it is f
     alone there, every product below the next row's degree is 0 or f: mu'_k
     is mu_k, through g = 1 + an annihilator, when lda(f) <= k, and the next
-    row's degree otherwise.
+    row's degree otherwise.  It also counts the basis rank and the rows in
+    the first C(n, <= n - k - 1) = 2^n - C(n, <= k) positions: the dimension
+    and hull of order k of a PAI certificate (`_Layer`).
 
     floor is lda(1+f), a lower bound on every mu_k (a nonzero f*g annihilates
     1+f); a layer under it raises AssertionError.  mu, mu' never rise, so from
     the first layer with mu'_k == floor on, mu = mu' = floor.  Once lda(f) is
-    known there too (found, or k + 1 when C(n, <= k + 1) > wt(f)) the pass
-    stops inserting; only the rows of later layers, none of them _best_layer,
-    may differ.  Floor 0 is the full pass: only f = 1, with no annihilator,
-    has mu'_k = 0.
+    known there too (found, or k + 1 when C(n, <= k + 1) > wt(f)) and
+    k + 1 + floor >= n, the pass stops inserting; only the rows and ranks of
+    later layers, none of them _best_layer and each of order >= n - floor,
+    may differ.  Without the last condition a certificate's lower orders
+    would read a stale basis: the flat x6 = x7 = x8 = 0 at n = 8 would settle
+    at k = 1 and report ranks 6, 6, 6, 6 for 6, 16, 26, 31 at k = 1..4
+    (notes/decisions.md, section 15).  Floor 0 is the full pass: only f = 1,
+    with no annihilator, has mu'_k = 0.
     """
     n = f.n
-    weight = f.tt.bit_count()
+    size, weight = 1 << n, f.tt.bit_count()
     to_degree, deg_at = _degree_order(n)
     # slots[p + 1] holds the basis row led by degree-ordered bit p, so the nonzero slots list
     # the rows by degree; slots[0] stays 0, and insert's loop ends on it once a row reduces to 0
-    slots = [0] * ((1 << n) + 1)
-    rank = 0
+    slots = [0] * (size + 1)
+    rank = seen = 0  # seen: C(n, <= k), so the rows of degree <= n - k - 1 sit in the first size - seen slots
     lda_f: int | None = None
     settled = False  # by the floor
     for k, level in enumerate(monomials_by_degree(n)):
+        seen += len(level)
         products = _product_rows(f, level, to_degree)
         for _ in level:
             if settled or rank == weight:
@@ -302,8 +320,9 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
         if mu < floor:
             raise AssertionError("a product of f has degree below lda(1+f)")
         # lda(f) unknown: the rank products so far are independent
-        settled = mu_adm == floor and (lda_f is not None or rank + comb(n, k + 1) > weight)
-        yield _Layer(k, mu, mu_adm, row, lda_f)
+        settled = mu_adm == floor and k + 1 + floor >= n and (lda_f is not None or rank + comb(n, k + 1) > weight)
+        low = slots[1 : size - seen + 1]
+        yield _Layer(k, mu, mu_adm, row, lda_f, rank, len(low) - low.count(0))
 
 
 def _best_layer(layers: Iterable[_Layer]) -> _Layer:

@@ -5,17 +5,13 @@ complement restricts the code to the support.  Algebraic immunity shows up
 as punctured-code dimensions, FAI as trivial meets with punctured duals,
 and perfect algebraic immunity as LCD-ness of every punctured order.
 
-The PAI certificate reads every order from truth-table coordinates: the
-rows f*m (deg m <= e) span RM(e, n) restricted to supp(f), and so do the
-co-monomial rows f * prod_{j in m} (1 + x_j), and Massey's criterion gives
-hull = rank(G) - rank(G G^T) for any spanning set G.  One scan of the
-co-monomial rows gives every order's dimension and, by the duality of
-puncturing and shortening, lda(1+f); the immunity engine's product pass,
-floored there, gives FAI and reads only the layers that can still lower
-it.  The Gram entry of f*m_u and f*m_v is the parity of supp(f) above u|v, one
-superset-parity transform of f; from the middle order 2e >= n - 1 on, the
-dual lies inside the code and the hull is wt - dim without a Gram matrix.
-Length, dimension and hull do not change
+The PAI certificate reads every order off one product pass: the products
+f*g with deg g <= e span RM(e, n) restricted to supp(f), and those of degree
+<= n - e - 1 span its meet with the dual, RM(n - e - 1, n) shortened to
+supp(f), so the pass's rank and low rows give each order's dimension and
+hull.  Floored at lda(1+f), which one column scan gives, the same pass
+gives FAI and reads only the layers that can still lower it or that hold
+an order below n - lda(1+f).  Length, dimension and hull do not change
 when columns are permuted, so the verdicts take no GF(2^n) point order;
 only `support_columns` and `function_from_columns` take one.  The
 punctured-RM route stays as the independent oracle (`is_pai_via_lcd`,
@@ -25,18 +21,9 @@ punctured-RM route stays as the independent oracle (`is_pai_via_lcd`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
-from .boolfun import (
-    BooleanFunction,
-    comonomial_tt,
-    degree,
-    format_function,
-    high_degree_masks,
-    monomial_tt,
-    monomials_by_degree,
-    monomials_upto,
-    superset_parity,
-)
+from .boolfun import BooleanFunction, complement, degree, format_function, monomials_upto
 from .codes import (
     LinearCode,
     dual,
@@ -45,9 +32,9 @@ from .codes import (
     puncture,
     rm,
 )
-from .f2linalg import BitMatrix, insert, rank, row_space_meet_dim
+from .f2linalg import row_space_meet_dim
 from .gf2m import FieldGF2n, enumerate_points, field_new
-from .immunity import _least_total, fai
+from .immunity import _layers, fai, lda
 
 
 @dataclass(frozen=True)
@@ -175,72 +162,42 @@ def carlet_feng_support(n: int, offset: int = 0, count: int | None = None) -> Su
     return SupportColumns(n, frozenset(cols))
 
 
-def _restricted_dims(f: BooleanFunction) -> list[int]:
-    """dim of RM(e, n) restricted to supp(f) for e = 0..n: the rank of the rows f*m, deg m <= e.
-
-    The co-monomial rows f * prod_{j in m} (1 + x_j), which span the same
-    space level by level, go into one highest-bit XOR basis in degree order,
-    the column route of `immunity._first_dependency` run on to full rank:
-    once the rank reaches wt(f) the rows span GF(2)^wt(f), and no later row
-    is inserted.
-    """
-    n, wt = f.n, f.tt.bit_count()
-    slots = [0] * ((1 << n) + 1)
-    dims, dim = [], 0
-    for level in monomials_by_degree(n):
-        for m in level:
-            if dim == wt:
-                break
-            dim += insert(slots, f.tt & comonomial_tt(m, n))
-        dims.append(dim)
-    return dims
-
-
 def pai_certificate(f: BooleanFunction) -> dict:
     """Full PAI verdict: definitional FAI, LCD-ness per order, and agreement.
 
-    Order e is RM(e, n) restricted to supp(f), spanned by the truth-table
-    rows f*m_u with deg u <= e: its length is wt(f), its dimension their
-    rank, and its hull that rank minus the rank of their Gram matrix
-    Gamma(u, v) = F[u|v], where F[w] is the parity of supp(f) above w.  A
-    column permutation changes none of the three, so the certificate is
-    the same on every GF(2^n) point order and names no modulus.
-    One co-monomial truth-table scan gives each order's dimension.  Once
-    the rank reaches wt(f), the code is all of GF(2)^wt(f), whose dual is
-    zero: that order and every later one keep that dimension and the zero
-    hull.  Once 2e >= n - 1, RM(n - e - 1, n) lies inside RM(e, n), so the
-    dual of order e, RM(n - e - 1, n) shortened to supp(f), lies inside the
-    code, and hull = wt - dim (notes/decisions.md, section 9).  Both
-    conditions hold from their first order on, and no such order builds
-    Gram rows or ranks them.  The dual of order e is zero iff no
-    nonzero function of degree <= n - e - 1 vanishes off supp(f), that is,
-    annihilates 1+f, so the first full order e* gives lda(1+f) = n - e*
-    (notes/decisions.md, section 13).
-    The FAI value, the least k + mu'_k as in `ffai`, comes from the lazy
-    product pass floored there, which checks mu_k >= n - e* on every layer
-    it reads.
+    Order e is RM(e, n) restricted to supp(f): its length is wt(f), its
+    dimension the rank of the products f*g, deg g <= e, and its hull their
+    meet with RM(n - e - 1, n), the dual shortened to supp(f).  A column
+    permutation changes none of the three, so the certificate is the same
+    on every GF(2^n) point order and names no modulus.
+    One column scan gives floor = lda(1+f).  The product pass floored there
+    reads the rank and hull of order e off layer e (`immunity._Layer`) and
+    the FAI value, the least k + mu'_k as in `ffai`, off the same layers; it
+    stops at the first k with k + 1 + floor >= max(n, value), since layer k
+    has k + mu'_k >= k + floor.  The dual of order e is zero iff no nonzero
+    function of degree <= n - e - 1 annihilates 1+f, so every order from
+    n - floor on is all of GF(2)^wt(f), with hull 0 (notes/decisions.md,
+    sections 13 and 15).
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
     n = f.n
-    size = 1 << n
     wt = f.tt.bit_count()
-    dims = _restricted_dims(f)
-    floor = n - dims.index(wt)  # lda(1+f)
-    value = _least_total(f, floor)
-    high = high_degree_masks(n)
-    gamma = {0: superset_parity(f.tt, n)}  # Gram row of m_u; bit v = F[u|v], in degree order
-    per_e = []
-    for e, (dim, level) in enumerate(zip(dims[1:], monomials_by_degree(n)[1:]), start=1):
-        hull = wt - dim  # dim == wt or 2e >= n - 1: the dual of order e lies inside it
-        if dim < wt and 2 * e < n - 1:
-            for u in level:
-                low = u & -u  # row u at v is row u - low at v|low: copy those columns down
-                prev = gamma[u ^ low] & monomial_tt(low, n)
-                gamma[u] = prev | prev >> low
-            low_cols = ~high[e]
-            hull = dim - rank(BitMatrix.from_rows((row & low_cols for row in gamma.values()), size))
-        per_e.append({"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0})
+    floor = lda(complement(f))
+    value = inf
+    orders = []  # (dim, hull) of orders 1..n - floor - 1
+    for layer in _layers(f, floor):
+        if layer.mu_adm is not None:
+            value = min(value, layer.k + layer.mu_adm)
+        if layer.k + floor < n:
+            orders.append((layer.rank, layer.hull))
+        if layer.k + 1 + floor >= max(n, value):
+            break
+    orders += [(wt, 0)] * (n - len(orders))
+    per_e = [
+        {"e": e, "length": wt, "dim": dim, "hull": hull, "lcd": hull == 0}
+        for e, (dim, hull) in enumerate(orders, start=1)
+    ]
     by_def = value >= n
     by_lcd = all(entry["lcd"] for entry in per_e)
     return {

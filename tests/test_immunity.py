@@ -496,7 +496,8 @@ def _readout_cases():
 
 
 def test_layer_readout_matches_list_reference(monkeypatch):
-    # the pass's own basis, caught as insert fills it, read as the whole (degree, row) list
+    # the pass's own basis, caught as insert fills it, read as the whole (degree, row) list;
+    # rank counts its rows and hull those of degree <= n - k - 1
     basis = []
     monkeypatch.setattr(immunity, "insert", lambda slots, row: basis.append(slots) or insert(slots, row))
     for f in _readout_cases():
@@ -512,8 +513,41 @@ def test_layer_readout_matches_list_reference(monkeypatch):
                 rows = [(deg_at[p - 1], row) for p, row in enumerate(basis[-1]) if row]
                 lda_k = lda_f if lda_f is not None and lda_f <= k else None
                 mu_adm, row = _admissible_mu(rows, anf_f_perm, lda_k is not None)
-                assert layer == (k, rows[0][0], mu_adm, row, lda_k), (f, floor)
+                hull = sum(deg <= n - k - 1 for deg, _ in rows)
+                assert layer == (k, rows[0][0], mu_adm, row, lda_k, len(rows), hull), (f, floor)
             assert k == n, (f, floor)
+
+
+def _settle_cases():
+    """The readout cases, then 5-dimensional flats at n = 8, x6 = x7 = x8 = 0 first, and seeded flats at n = 5..10.
+
+    On the first flat mu'_1 is the floor 3 and lda(f) = 1 (x6 annihilates f), so
+    a pass that settled there would stop inserting four orders too early.
+    """
+    yield from _readout_cases()
+    yield BooleanFunction(8, (1 << 32) - 1)
+    rng = random.Random(28)
+    for n in range(5, 11):
+        for dim in range(1, n):
+            base, axes = rng.getrandbits(n), rng.sample(range(n), dim)
+            flat = {base ^ sum(1 << a for i, a in enumerate(axes) if s >> i & 1) for s in range(1 << dim)}
+            yield BooleanFunction(n, sum(1 << x for x in flat))
+
+
+def test_floored_pass_keeps_rank_and_hull_below_order_n_minus_floor():
+    # the floored pass settles no earlier than k + 1 + floor >= n: every order a certificate reads
+    # off it has the full pass's rank and hull
+    flat = BooleanFunction(8, (1 << 32) - 1)
+    assert lda(complement(flat)) == 3 and lda(flat) == 1
+    for f in _settle_cases():
+        if f.tt == 0:
+            continue
+        floor = lda(complement(f))
+        full, stopped = list(_layers(f, 0)), list(_layers(f, floor))
+        below = f.n - floor - 1
+        assert [(lay.rank, lay.hull) for lay in stopped[:below]] == [(lay.rank, lay.hull) for lay in full[:below]], f
+    flat_layers = list(_layers(flat, 3))[:4]
+    assert [(lay.rank, lay.hull) for lay in flat_layers] == [(6, 6), (16, 16), (26, 6), (31, 1)]
 
 
 def _fai_direct_butterfly(f):

@@ -1,20 +1,24 @@
 import random
+import sys
 from math import comb
 
 import pytest
 
 import faicodes.immunity as immunity
-from faicodes import pai_lcd
+from faicodes import f2linalg
 from faicodes.boolfun import (
     BooleanFunction,
     complement,
     degree,
+    high_degree_masks,
     mobius,
     monomial_sum,
     monomial_tt,
+    monomials_by_degree,
     monomials_upto,
     parse_function,
     random_nonconstant,
+    superset_parity,
 )
 from faicodes.codes import hull_dim, is_lcd, puncture, rm
 from faicodes.f2linalg import BitMatrix, rank
@@ -22,7 +26,6 @@ from faicodes.gf2m import enumerate_points, field_new, field_with_modulus
 from faicodes.immunity import _best_layer, _layers, ai, fai, lda
 from faicodes.pai_lcd import (
     SupportColumns,
-    _restricted_dims,
     ai_exceeds_via_dims,
     carlet_feng_support,
     fai_at_least_via_codes,
@@ -234,6 +237,7 @@ def _full_space_functions():
         yield BooleanFunction(n, heavy & ~monomial_tt(0b11, n))
     for _ in range(2):
         yield random_nonconstant(9, rng)
+    yield BooleanFunction(8, (1 << 32) - 1)  # the flat x6 = x7 = x8 = 0: mu'_1 is already the floor 3, dims grow to k = 4
 
 
 def test_pai_certificate_matches_punctured_rm():
@@ -250,34 +254,29 @@ def test_pai_certificate_matches_punctured_rm():
 
 
 def test_pai_certificate_ranks_no_full_space_order(monkeypatch):
-    # from the first order with dim == wt or 2e >= n - 1 on, the dual lies inside the code:
-    # hull = wt - dim without a Gram rank, 0 on the full space
+    # dims and hulls come off the product pass, with no Gram rows and no f2linalg.rank call; the hull
+    # is 0 on the full space, and wt - dim from the middle order 2e >= n - 1 on, where the dual lies
+    # inside the code
     calls = []
-
-    def counting_rank(m):
-        calls.append(m.rows)
-        return rank(m)
-
-    monkeypatch.setattr(pai_lcd, "rank", counting_rank)
-    skipped = ranked = middle = 0
+    original = f2linalg.rank
+    for name, module in list(sys.modules.items()):
+        if name.startswith("faicodes") and getattr(module, "rank", None) is original:
+            monkeypatch.setattr(module, "rank", lambda m: calls.append(m.rows) or original(m))
+    kinds = set()
     for f in _full_space_functions():
-        calls.clear()
-        per_e = pai_certificate(f)["per_e_lcd_status"]
-        below = [entry["e"] for entry in per_e if entry["dim"] < entry["length"] and 2 * entry["e"] < f.n - 1]
-        assert below == list(range(1, len(below) + 1)), f  # both conditions, once broken, stay broken
-        assert calls == [len(monomials_upto(f.n, e)) for e in below], f  # one rank per order below both
-        assert all(entry["hull"] == 0 for entry in per_e if entry["dim"] == entry["length"])
-        assert all(entry["hull"] == entry["length"] - entry["dim"] for entry in per_e[len(below) :])
-        skipped += len(per_e) - len(below)
-        ranked += len(below)
-        middle += sum(entry["dim"] < entry["length"] for entry in per_e[len(below) :])
-    assert skipped and ranked and middle
+        for entry in pai_certificate(f)["per_e_lcd_status"]:
+            full, middle = entry["dim"] == entry["length"], 2 * entry["e"] >= f.n - 1
+            if full or middle:
+                assert entry["hull"] == entry["length"] - entry["dim"], (f, entry)
+            kinds.add((full, middle))
+    assert not calls
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _truth_table_ranks(f):
     """The monomial-column reference: rank of the rows f*m, deg m <= e, for e = 0..n, each from its own matrix.
 
-    `_restricted_dims` scans co-monomial rows instead, another spanning set of each order."""
+    The certificate reads the rank of the same products' ANFs off the product pass instead."""
     rows = [f.tt & monomial_tt(m, f.n) for m in monomials_upto(f.n, f.n)]
     return [rank(BitMatrix.from_rows(rows[: len(monomials_upto(f.n, e))], f.size)) for e in range(f.n + 1)]
 
@@ -307,24 +306,54 @@ def _duality_functions():
                     yield BooleanFunction(n, sum(1 << x for x in rng.sample(range(size), wt)))
 
 
-def test_restricted_dims_are_truth_table_ranks():
-    # the scan's rank after each level against the rank of the truth-table rows f*m, deg m <= e
-    rng = random.Random(24)
-    for n in (1, 2, 3, 4, 5, 6, 7, 8):
-        for _ in range(6):
-            f = BooleanFunction(n, rng.getrandbits(1 << n) or 1)
-            assert _restricted_dims(f) == _truth_table_ranks(f), f
-
-
 def test_first_full_order_gives_lda_of_complement():
     # puncture-shorten duality: RM(e, n) on supp(f) is all of GF(2)^wt iff lda(1+f) > n - e - 1
     seen = set()
     for f in _duality_functions():
-        dims = _restricted_dims(f)
-        first_full = dims.index(f.tt.bit_count())
+        first_full = _truth_table_ranks(f).index(f.tt.bit_count())
         assert f.n - first_full == lda(complement(f)), f
         seen.add(first_full == f.n)
     assert seen == {False, True}
+
+
+def _gram_hulls(f):
+    """The Gram route, rank(G) - rank(G G^T) for the rows G of f*m_u, deg u <= e, at e = 1..n (Massey).
+
+    The Gram entry of f*m_u and f*m_v is F[u|v], the parity of supp(f) above
+    u|v; row u is row u - low, low its lowest bit, with the columns v that
+    lack low copied from v|low, masked to the columns of degree <= e.
+    """
+    n = f.n
+    dims = _truth_table_ranks(f)
+    high = high_degree_masks(n)
+    gamma = {0: superset_parity(f.tt, n)}
+    hulls = []
+    for e, level in enumerate(monomials_by_degree(n)[1:], start=1):
+        for u in level:
+            low = u & -u
+            prev = gamma[u ^ low] & monomial_tt(low, n)
+            gamma[u] = prev | prev >> low
+        hulls.append(dims[e] - rank(BitMatrix.from_rows((row & ~high[e] for row in gamma.values()), f.size)))
+    return hulls
+
+
+def test_pai_certificate_hulls_match_gram_route():
+    # the product pass's low rows against the Gram matrix of every order, the shortcut orders included
+    for f in _full_space_functions():
+        assert [entry["hull"] for entry in pai_certificate(f)["per_e_lcd_status"]] == _gram_hulls(f), f
+
+
+def test_carlet_feng_dimensions_have_closed_form():
+    # RM(e, n) punctured at 0 is cyclic, and a Carlet-Feng support is a cyclic window (plus 0 when n
+    # is a power of two), so every order of every offset has dim = min(C(n, <= e), wt)
+    orders = 0
+    for n in (2, 3, 4, 5, 8, 9):
+        for offset in range((1 << n) - 1):
+            cert = pai_certificate(function_from_columns(carlet_feng_support(n, offset)))
+            for entry in cert["per_e_lcd_status"]:
+                assert entry["dim"] == min(len(monomials_upto(n, entry["e"])), cert["wt"]), (n, offset, entry)
+                orders += 1
+    assert orders == 6881
 
 
 def test_pai_certificate_matches_unfloored_pass():
