@@ -239,7 +239,7 @@ class _Layer(NamedTuple):
 
     k: int
     mu: int  # mu_k(f)
-    mu_adm: int | None  # mu'_k: the minimum over g not in {0, 1}
+    mu_adm: int  # mu'_k: the minimum over g not in {0, 1}
     row: int | None  # a permuted basis row of degree mu'_k; None when that product is f
     lda: int | None  # lda(f) when it is <= k, else None
     rank: int  # the basis rank
@@ -272,7 +272,12 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
 
     floor is lda(1+f), a lower bound on every mu_k (a nonzero f*g annihilates
     1+f); a layer under it raises AssertionError.  mu, mu' never rise, so from
-    the first layer with mu'_k == floor on, mu = mu' = floor.  Once lda(f) is
+    the first layer with mu'_k == floor on, mu = mu' = floor.  That layer is
+    floor at the latest when floor >= 1: a nonzero annihilator h of 1+f of
+    degree floor has f*h = h and is not constant, so mu_k = mu'_k = floor
+    for every k >= floor (notes/decisions.md, section 16).  `fai` and
+    `function_report` read no layer past floor, `_least_total` none from it
+    on; `profile` and certificates read on.  Once lda(f) is
     known there too (found, or k + 1 when C(n, <= k + 1) > wt(f)) and
     k + 1 + floor >= n, the pass stops inserting; only the rows and ranks of
     later layers, none of them _best_layer and each of order >= n - floor,
@@ -312,6 +317,8 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
         mu = mu_adm = deg_at[row.bit_length() - 1]
         if row == anf_f_perm:
             row = next(rows, None)
+            # None only when f is alone in the basis at k >= 1: then every f*x_i is 0 or f, so an
+            # annihilator of degree 1 gave lda(f) = 1 and mu' is mu below
             above = None if row is None else deg_at[row.bit_length() - 1]
             if lda_f is not None and above != mu:
                 row = None  # only f sits at mu_k
@@ -327,7 +334,7 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
 
 def _best_layer(layers: Iterable[_Layer]) -> _Layer:
     """The first layer with the least k + mu'_k (f nonzero)."""
-    return min((lay for lay in layers if lay.mu_adm is not None), key=lambda lay: lay.k + lay.mu_adm)
+    return min(layers, key=lambda lay: lay.k + lay.mu_adm)
 
 
 def profile(f: BooleanFunction) -> ImmunityProfile:
@@ -341,25 +348,47 @@ def fai(f: BooleanFunction) -> FaiResult:
 
     Layered search over k = deg(g), floored at lda(1+f): for each k the
     product basis is reduced in degree order, the least admissible product
-    degree mu'_k is read off, and the best k + mu'_k wins.  The witness solves
+    degree mu'_k is read off, and the best k + mu'_k wins.  The pass reads
+    no level past lda(1+f), where the profile's constant tail begins
+    (`_fai`).  The witness solves
     f*g = v over the monomials of degree <= k, re-checked by multiplication.
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
-    return _fai(f, list(_layers(f, lda(complement(f)))))
+    return _fai(f, lda(complement(f)))[0]
 
 
-def _fai(f: BooleanFunction, layers: list[_Layer]) -> FaiResult:
-    # mu' and the witness route hang on the annihilator status: check it by the column route
-    if layers[-1].lda != lda(f):
+def _fai(f: BooleanFunction, floor: int) -> tuple[FaiResult, tuple[int, ...]]:
+    """FAI(f) and the profile (mu_1, ..., mu_n) from the lazy pass on f floored at floor = lda(1+f).
+
+    From k = floor >= 1 on, mu_k = mu'_k = floor (`_layers`), and layer k
+    totals k + mu'_k >= k + floor.  So the read stops after layer k once
+    k + 1 >= floor and k + 1 + floor >= the least total so far, and every
+    later profile entry is floor.  Level floor is inserted only when every
+    earlier layer totals above 2 floor: layer floor is then strictly best
+    and gives the witness.  f = 1, floor 0, reads every layer.
+    """
+    layers, least = [], inf
+    for layer in _layers(f, floor):
+        layers.append(layer)
+        least = min(least, layer.k + layer.mu_adm)
+        if 0 < floor <= layer.k + 1 and layer.k + 1 + floor >= least:
+            break
+    last = layers[-1]
+    if 0 < floor == last.k and (last.mu, last.mu_adm) != (floor, floor):
+        raise AssertionError("layer lda(1+f) is not at the floor")
+    # mu' and the witness route hang on the annihilator status: check it by the column route,
+    # exact on every level the pass inserted, and above the last one when the pass found none
+    column = lda(f)
+    if last.lda != (column if column is not None and column <= last.k else None):
         raise AssertionError("the product pass and the column route disagree on lda(f)")
+    mu = tuple(layer.mu for layer in layers) + (floor,) * (f.n - last.k)
     best = _best_layer(layers)
     value = best.k + best.mu_adm
-    profile_bound = ImmunityProfile(f.n, tuple(layer.mu for layer in layers)).min_k_plus_mu()
     witness = _extract_witness(f, best)
     if witness.total != value:
         raise AssertionError("FAI witness total does not match the layered search")
-    return FaiResult(value, witness, profile_bound)
+    return FaiResult(value, witness, ImmunityProfile(f.n, mu).min_k_plus_mu()), mu
 
 
 def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
@@ -406,15 +435,17 @@ def ffai(f: BooleanFunction) -> int:
 
 
 def _least_total(f: BooleanFunction, floor: int, best: float = inf) -> int:
-    """min(best, least k + mu'_k) over the lazy pass on a nonzero f floored at floor.
+    """min(best, least k + mu'_k) over the lazy pass on a nonzero, non-constant f floored at floor = lda(1+f).
 
+    best starts at most at 2 floor, the total of layer floor (`_layers`).
     Layer k has k + mu'_k >= k + floor, so no layer k with k + floor >= best
-    is read, and its level is never inserted.
+    is read, and its level is never inserted: the pass stops below level
+    floor.
     """
+    best = min(best, 2 * floor)
     if 1 + floor < best:
         for layer in _layers(f, floor):
-            if layer.mu_adm is not None:
-                best = min(best, layer.k + layer.mu_adm)
+            best = min(best, layer.k + layer.mu_adm)
             if layer.k + 1 + floor >= best:
                 break
     return int(best)
@@ -470,15 +501,16 @@ def function_report(f: BooleanFunction) -> dict:
     """The per-function analysis record (tt, degrees, immunities, witness).
 
     The column route gives both LDAs first.  One product pass on f, floored
-    at lda(1+f), gives the profile, FAI and its witness; FFAI reads from the
-    pass on 1+f, floored at lda(f), only the layers that can go below FAI(f).
+    at lda(1+f), gives FAI, its witness and the profile, whose entries from
+    k = lda(1+f) on are lda(1+f) and need no layer (`_fai`); FFAI reads from
+    the pass on 1+f, floored at lda(f), only the layers that can go below
+    FAI(f), none from level lda(f) on (`_least_total`).
     """
     if f.tt == 0:
         raise ValueError("FAI is undefined for the zero function")
     fc = complement(f)
     lda_f, lda_fc = lda(f), lda(fc)
-    layers = list(_layers(f, lda_fc))
-    res = _fai(f, layers)
+    res, mu = _fai(f, lda_fc)
     record = {
         "tt": format_function(f),
         "n": f.n,
@@ -487,7 +519,7 @@ def function_report(f: BooleanFunction) -> dict:
         "ai": min(v for v in (lda_f, lda_fc) if v is not None),
         "lda_f": lda_f,
         "lda_fc": lda_fc,
-        "profile": [layer.mu for layer in layers],
+        "profile": list(mu),
         "fai": res.value,
         "ffai": None if f.is_constant() else _least_total(fc, lda_f, res.value),
         "witness_g": format_anf(res.witness.g),

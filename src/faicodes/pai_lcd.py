@@ -187,8 +187,7 @@ def pai_certificate(f: BooleanFunction) -> dict:
     value = inf
     orders = []  # (dim, hull) of orders 1..n - floor - 1
     for layer in _layers(f, floor):
-        if layer.mu_adm is not None:
-            value = min(value, layer.k + layer.mu_adm)
+        value = min(value, layer.k + layer.mu_adm)
         if layer.k + floor < n:
             orders.append((layer.rank, layer.hull))
         if layer.k + 1 + floor >= max(n, value):

@@ -714,3 +714,149 @@ def test_first_dependency_matches_side_major_reference():
     for f in _first_dependency_cases():
         for tts in ((f.tt,), (f.tt, complement(f).tt)):
             assert immunity._first_dependency(f.n, tts) == _side_major_first_dependency(f.n, tts), (f, len(tts))
+
+
+def _tail_cases():
+    """Every nonzero function at n <= 4, then seeded dense, sparse, one-point and co-one-point ones at n = 5..11."""
+    for f in _functions(4, (), 0, seed=0):
+        if f.tt:
+            yield f
+    rng = random.Random(29)
+    for n in range(5, 12):
+        size = 1 << n
+        for _ in range(2 if n < 10 else 1):
+            point = 1 << rng.randrange(size)
+            yield BooleanFunction(n, rng.getrandbits(size))
+            yield BooleanFunction(n, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size))
+            yield BooleanFunction(n, point)
+            yield BooleanFunction(n, ((1 << size) - 1) ^ point)
+
+
+def test_full_pass_tail_is_the_floor():
+    # a nonzero annihilator h of 1+f of degree floor >= 1 has f*h = h, so mu_k = mu'_k = floor from k = floor on
+    for f in _tail_cases():
+        floor = lda(complement(f))
+        if floor == 0:  # f = 1: g = 1 is excluded, and mu'_k = 1 > mu_k = 0
+            continue
+        tail = [(lay.k, lay.mu, lay.mu_adm) for lay in _layers(f, 0)][floor - 1 :]
+        assert tail == [(k, floor, floor) for k in range(floor, f.n + 1)], f
+
+
+def _floor_is_strictly_best(f, floor):
+    """Whether layer floor totals 2 floor, below every earlier layer of the full pass."""
+    totals = [lay.k + lay.mu_adm for lay in _layers(f, 0)]
+    return 2 * floor < min(totals[: floor - 1], default=math.inf)
+
+
+def test_fai_and_report_insert_no_level_from_the_floor_on(monkeypatch):
+    # the level of each product pass insert: each product row drawn is tagged with its function and
+    # level, and an insert of that very row reads the tag; the column scans insert no drawn row
+    tags, levels = {}, []
+    product_rows = immunity._product_rows
+
+    def tagged_rows(g, monos, network=()):
+        for row in product_rows(g, monos, network):
+            tags["at"] = row, (g.tt, monos[0].bit_count())
+            yield row
+
+    def tagged_insert(slots, row):
+        drawn, tag = tags.pop("at", (None, None))
+        levels.append(tag if drawn == row else None)
+        return insert(slots, row)
+
+    monkeypatch.setattr(immunity, "_product_rows", tagged_rows)
+    monkeypatch.setattr(immunity, "insert", tagged_insert)
+    fallbacks = 0
+    for f in _floor_cases():
+        if f.is_constant():  # f = 1 has floor 0 and reads every layer
+            continue
+        fc = complement(f)
+        floor, floor_c = lda(fc), lda(f)
+        strictly_best = _floor_is_strictly_best(f, floor)
+        for call in (fai, function_report):
+            del levels[:]
+            call(f)
+            top = max(level for tt, level in filter(None, levels) if tt == f.tt)
+            assert top <= floor if strictly_best else top < floor, (call.__name__, f)
+            fallbacks += top == floor
+        # the report's FFAI pass on 1+f, seeded with 2 lda(f), stops below level lda(f)
+        assert all(level < floor_c for tt, level in filter(None, levels) if tt == fc.tt), f
+    assert fallbacks, "no case reads layer lda(1+f)"
+
+
+@pytest.mark.parametrize(
+    "spec, column, fires",
+    [
+        ("3:AA", None, True),  # x1: the pass inserts level 1 and finds lda(f) = 1 there
+        ("3:AA", 2, True),
+        ("3:E8", 1, True),  # majority: the pass reads layer 1 only, where lda(f) = 2 is not yet found
+        ("3:E8", 3, False),  # a column lda above the last level read agrees with a pass that found none
+    ],
+)
+def test_fai_lda_cross_check_covers_the_levels_inserted(monkeypatch, spec, column, fires):
+    f = parse_function(spec)
+    column_route = immunity.lda
+    monkeypatch.setattr(immunity, "lda", lambda g: column if g == f else column_route(g))
+    for call in (fai, function_report):
+        if fires:
+            with pytest.raises(AssertionError, match="disagree on lda"):
+                call(f)
+        else:
+            call(f)
+
+
+def _profile_by_enumeration(f):
+    """Reference: (mu_k, mu'_k) for k = 1..max(1, n // 2) over every g of degree <= that bound.
+
+    Bit-sliced as fai_direct is: bit s of each int belongs to the g that sums
+    monos[t] over the set bits t of s, so selector 0 is g = 0 and selector 1
+    is g = 1.  ANF bit b of every product f*g at once is the XOR of the
+    selectors with bit t over the products f*m_t that have bit b.
+    """
+    n = f.n
+    eff = max(1, n // 2)
+    monos = [m for level in monomials_by_degree(n)[: eff + 1] for m in level]
+    picks = [monomial_tt(1 << t, len(monos)) for t in range(len(monos))]  # the selectors with bit t
+    g_from, p_from = [0] * (eff + 2), [0] * (n + 2)  # selectors whose g, f*g have degree >= d
+    for m, pick in zip(monos, picks):
+        g_from[m.bit_count()] |= pick
+    anfs = [mobius(f.tt & monomial_tt(m, n), n) for m in monos]
+    for b in range(1 << n):
+        column = 0
+        for anf, pick in zip(anfs, picks):
+            if anf >> b & 1:
+                column ^= pick
+        p_from[b.bit_count()] |= column
+    for masks in g_from, p_from:
+        for d in range(len(masks) - 2, -1, -1):
+            masks[d] |= masks[d + 1]
+    out = []
+    for k in range(1, eff + 1):
+        nonzero = p_from[0] & ~g_from[k + 1]  # deg g <= k and f*g != 0, which rules out g = 0
+        # the least d with a selector whose product has degree <= d; ~2 drops g = 1
+        out.append(tuple(next(d for d in range(n + 1) if ok & ~p_from[d + 1]) for ok in (nonzero, nonzero & ~2)))
+    return out
+
+
+def _enumeration_cases():
+    """Every nonzero function at n <= 3, then 300 seeded ones each at n = 4 and 5, dense to sparse."""
+    for f in _functions(3, (), 0, seed=0):
+        if f.tt:
+            yield f
+    rng = random.Random(30)
+    for n in (4, 5):
+        for i in range(300):
+            p = (0.5, 0.2, 0.8, 0.05, 0.95)[i % 5]
+            tt = sum(1 << x for x in range(1 << n) if rng.random() < p)
+            yield BooleanFunction(n, tt or 1 << rng.randrange(1 << n))
+
+
+def test_profile_matches_enumeration_of_every_g():
+    # the report's profile, with its tail filled by the floor, and profile()'s full pass, up to k = max(1, n // 2)
+    for f in _enumeration_cases():
+        want = _profile_by_enumeration(f)
+        eff = len(want)
+        report = function_report(f)
+        assert report["profile"][:eff] == list(profile(f).mu[:eff]) == [m for m, _ in want], f
+        assert [lay.mu_adm for lay in _layers(f, 0)][:eff] == [m for _, m in want], f
+        assert report["fai"] == fai(f).value == min(k + m for k, (_, m) in enumerate(want, start=1)), f
