@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf
+from itertools import takewhile
+from math import inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .boolfun import (
@@ -231,10 +232,9 @@ class _Layer(NamedTuple):
     Read on supp(f), the products span RM(k, n) restricted to supp(f), so
     rank is that code's dimension.  Its dual is RM(n - k - 1, n) shortened
     to supp(f), the products of degree <= n - k - 1, so hull counts the
-    basis rows of that degree.  Both are exact while k + floor < n.  From
-    order n - floor on the code is all of GF(2)^wt(f): its hull is 0, since
-    no product has degree below the floor, but a settled pass may report a
-    rank below wt(f).
+    basis rows of that degree.  From order n - floor on, floor = lda(1+f),
+    the code is all of GF(2)^wt(f) with hull 0, since no product has degree
+    below the floor.
     """
 
     k: int
@@ -258,8 +258,8 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     The first product that is zero or dependent marks the lowest-degree
     annihilator, so lda(f) comes with the pass.  The products span exactly
     the functions supported on supp(f), so once the basis has wt(f) rows
-    every further product is dependent: the pass stops inserting, and the
-    later layers read the same basis.
+    every further product is dependent: the pass stops inserting, its one
+    stop, and the later layers read the same basis.
 
     Each layer reads the lowest one or two basis rows.  The lowest has degree
     mu_k; unless it is f, it is also the witness of mu'_k = mu_k.  If it is f
@@ -271,21 +271,15 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     and hull of order k of a PAI certificate (`_Layer`).
 
     floor is lda(1+f), a lower bound on every mu_k (a nonzero f*g annihilates
-    1+f); a layer under it raises AssertionError.  mu, mu' never rise, so from
-    the first layer with mu'_k == floor on, mu = mu' = floor.  That layer is
-    floor at the latest when floor >= 1: a nonzero annihilator h of 1+f of
-    degree floor has f*h = h and is not constant, so mu_k = mu'_k = floor
-    for every k >= floor (notes/decisions.md, section 16).  `fai` and
-    `function_report` read no layer past floor, `_least_total` none from it
-    on; `profile` and certificates read on.  Once lda(f) is
-    known there too (found, or k + 1 when C(n, <= k + 1) > wt(f)) and
-    k + 1 + floor >= n, the pass stops inserting; only the rows and ranks of
-    later layers, none of them _best_layer and each of order >= n - floor,
-    may differ.  Without the last condition a certificate's lower orders
-    would read a stale basis: the flat x6 = x7 = x8 = 0 at n = 8 would settle
-    at k = 1 and report ranks 6, 6, 6, 6 for 6, 16, 26, 31 at k = 1..4
-    (notes/decisions.md, section 15).  Floor 0 is the full pass: only f = 1,
-    with no annihilator, has mu'_k = 0.
+    1+f); a layer under it raises AssertionError, and that check is all the
+    floor does.  mu never rises, so from the first layer with mu_k == floor
+    on, mu_k = floor.  That layer is floor at the latest when floor >= 1: a
+    nonzero annihilator h of 1+f of degree floor has f*h = h and is not
+    constant, so mu_k = mu'_k = floor for every k >= floor
+    (notes/decisions.md, section 16).  Each reader owns its stop: `profile`
+    after the first layer at the floor, `_fai` and `_least_total` once no
+    later layer can lower the least k + mu'_k, and certificates once, also,
+    every order below n - floor is read (section 17).
     """
     n = f.n
     size, weight = 1 << n, f.tt.bit_count()
@@ -295,12 +289,11 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     slots = [0] * (size + 1)
     rank = seen = 0  # seen: C(n, <= k), so the rows of degree <= n - k - 1 sit in the first size - seen slots
     lda_f: int | None = None
-    settled = False  # by the floor
     for k, level in enumerate(monomials_by_degree(n)):
         seen += len(level)
         products = _product_rows(f, level, to_degree)
         for _ in level:
-            if settled or rank == weight:
+            if rank == weight:
                 if lda_f is None:
                     lda_f = k
                 break
@@ -326,8 +319,6 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
                 mu_adm = above
         if mu < floor:
             raise AssertionError("a product of f has degree below lda(1+f)")
-        # lda(f) unknown: the rank products so far are independent
-        settled = mu_adm == floor and k + 1 + floor >= n and (lda_f is not None or rank + comb(n, k + 1) > weight)
         low = slots[1 : size - seen + 1]
         yield _Layer(k, mu, mu_adm, row, lda_f, rank, len(low) - low.count(0))
 
@@ -338,9 +329,16 @@ def _best_layer(layers: Iterable[_Layer]) -> _Layer:
 
 
 def profile(f: BooleanFunction) -> ImmunityProfile:
-    """(mu_1, ..., mu_n) from the pass floored at lda(1+f); all None when f = 0."""
-    mu = (None,) * f.n if f.tt == 0 else tuple(layer.mu for layer in _layers(f, lda(complement(f))))
-    return ImmunityProfile(f.n, mu)
+    """(mu_1, ..., mu_n) from the pass floored at floor = lda(1+f); all None when f = 0.
+
+    The read stops after the first layer with mu_k = floor: mu never rises
+    and never goes below the floor, so every later entry is floor.
+    """
+    if f.tt == 0:
+        return ImmunityProfile(f.n, (None,) * f.n)
+    floor = lda(complement(f))
+    above = tuple(takewhile(lambda mu: mu > floor, (layer.mu for layer in _layers(f, floor))))
+    return ImmunityProfile(f.n, above + (floor,) * (f.n - len(above)))
 
 
 def fai(f: BooleanFunction) -> FaiResult:
@@ -361,21 +359,22 @@ def fai(f: BooleanFunction) -> FaiResult:
 def _fai(f: BooleanFunction, floor: int) -> tuple[FaiResult, tuple[int, ...]]:
     """FAI(f) and the profile (mu_1, ..., mu_n) from the lazy pass on f floored at floor = lda(1+f).
 
-    From k = floor >= 1 on, mu_k = mu'_k = floor (`_layers`), and layer k
-    totals k + mu'_k >= k + floor.  So the read stops after layer k once
-    k + 1 >= floor and k + 1 + floor >= the least total so far, and every
-    later profile entry is floor.  Level floor is inserted only when every
-    earlier layer totals above 2 floor: layer floor is then strictly best
-    and gives the witness.  f = 1, floor 0, reads every layer.
+    mu_j = floor for every layer j after one with mu_k = floor, and for every
+    j >= floor >= 1 (`_layers`); layer j totals j + mu'_j >= j + floor.  So
+    the read stops after layer k once mu_k = floor or k + 1 >= floor, and
+    k + 1 + floor >= the least total so far: no later layer is strictly
+    better, and every later profile entry is floor.  Level floor is inserted
+    only when every earlier layer totals above 2 floor: layer floor is then
+    strictly best and gives the witness.  f = 1, floor 0, has mu_1 = 0.
     """
     layers, least = [], inf
     for layer in _layers(f, floor):
         layers.append(layer)
         least = min(least, layer.k + layer.mu_adm)
-        if 0 < floor <= layer.k + 1 and layer.k + 1 + floor >= least:
+        if (layer.mu == floor or floor <= layer.k + 1) and layer.k + 1 + floor >= least:
             break
     last = layers[-1]
-    if 0 < floor == last.k and (last.mu, last.mu_adm) != (floor, floor):
+    if floor == last.k and (last.mu, last.mu_adm) != (floor, floor):
         raise AssertionError("layer lda(1+f) is not at the floor")
     # mu' and the witness route hang on the annihilator status: check it by the column route,
     # exact on every level the pass inserted, and above the last one when the pass found none

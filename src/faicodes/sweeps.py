@@ -171,7 +171,7 @@ def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
 
 
 def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
-    rep, rng = _start("f2linalg", n, trials, seed)
+    rep, rng = _start("f2linalg", n, trials, seed, hi=1024)
     cols = max(2, n)
     for _ in range(trials):
         m = _random_matrix(rng, rng.randrange(1, 2 * cols), cols)
@@ -596,7 +596,7 @@ def sweep_fai_oracle(n: int, trials: int, seed: int) -> SweepReport:
 
 
 def sweep_pai_equivalence(n: int, trials: int, seed: int) -> SweepReport:
-    rep, rng = _start("pai-equivalence", n, trials, seed, lo=2)
+    rep, rng = _start("pai-equivalence", n, trials, seed, lo=2, hi=10)
     for _ in range(trials):
         f = random_nonconstant(n, rng)
         a = ai(f)
@@ -637,6 +637,10 @@ def sweep_carlet_feng(n: int, trials: int, seed: int) -> SweepReport:
             f"pai={cert['pai_by_def']} lcd={cert['pai_by_lcd']}"
         )
         rep.check(cert["agree"], "pai-def-vs-lcd-agreement", f"offset={offset} {_fmt(f)}")
+        # a cyclic window of alpha's powers, 0 added at n = 2^t: dim = min(C(n, <= e), wt) (notes section 17)
+        dims = [entry["dim"] for entry in cert["per_e_lcd_status"]]
+        closed = [min(len(monomials_upto(n, e)), cert["wt"]) for e in range(1, n + 1)]
+        rep.check(dims == closed, "cf-dim-closed-form", f"offset={offset} dims={dims}")
         expected_parity = 0 if (n - 1) & (n - 2) == 0 and n >= 3 else 1
         rep.check(
             cert["wt"] % 2 == expected_parity,

@@ -334,6 +334,8 @@ def test_sweep_n1_is_refused_up_front(suite, capsys):
         (("ai-oracle", "-1", "2"), "random ai-oracle mode needs n >= 1"),
         (("fai-oracle", "-1", "2"), "random fai-oracle mode needs n >= 1"),
         (("fai-oracle", "6", "1"), "random fai-oracle mode supports n <= 5"),
+        (("f2linalg", "1025", "1"), "f2linalg sweep supports n <= 1024"),
+        (("pai-equivalence", "11", "1"), "pai-equivalence sweep supports n <= 10"),
     ],
 )
 def test_sweep_n_out_of_range_is_refused_up_front(argv, message, capsys):

@@ -425,37 +425,6 @@ def _floor_cases():
             yield BooleanFunction(n, sum(1 << x for x in range(1 << n) if rng.random() < p))
 
 
-def test_floor_stopped_pass_matches_full_pass(monkeypatch):
-    # counts every basis insert, the column scans' too: both sides run the same scans
-    inserted = []
-    monkeypatch.setattr(immunity, "insert", lambda slots, row: inserted.append(1) or insert(slots, row))
-    full_pass = immunity._layers
-    calls = (function_report, fai, profile)
-    counts = {(call.__name__, side): 0 for call in calls for side in ("full", "floor")}
-    for f in _floor_cases():
-        if f.tt == 0:
-            continue
-        # floor 0 never settles a nonzero f: the full pass
-        full, stopped = list(_layers(f, 0)), list(_layers(f, lda(complement(f))))
-        assert [(lay.k, lay.mu, lay.mu_adm, lay.lda) for lay in stopped] == [
-            (lay.k, lay.mu, lay.mu_adm, lay.lda) for lay in full
-        ], f
-        best = _best_layer(full)
-        assert _best_layer(stopped) == best and stopped[: best.k] == full[: best.k], f
-        for call in calls:
-            del inserted[:]
-            with monkeypatch.context() as m:
-                m.setattr(immunity, "_layers", lambda g, floor: full_pass(g, 0))
-                want = call(f)
-            counts[call.__name__, "full"] += len(inserted)
-            del inserted[:]
-            assert call(f) == want, (call.__name__, f)
-            counts[call.__name__, "floor"] += len(inserted)
-    # each call's floor has to end some passes early, or this compares a pass with itself
-    for call in calls:
-        assert counts[call.__name__, "floor"] < counts[call.__name__, "full"], counts
-
-
 def test_packed_product_rows_match_per_row_transform():
     # n <= 2 packs byte strides; n = 11, 12 split the middle levels into chunks, the last one partial
     rng = random.Random(27)
@@ -522,7 +491,8 @@ def _settle_cases():
     """The readout cases, then 5-dimensional flats at n = 8, x6 = x7 = x8 = 0 first, and seeded flats at n = 5..10.
 
     On the first flat mu'_1 is the floor 3 and lda(f) = 1 (x6 annihilates f), so
-    a pass that settled there would stop inserting four orders too early.
+    a pass that stopped inserting there would read four orders of a certificate
+    off a stale basis, and a reader that stops there inserts levels 0 and 1 only.
     """
     yield from _readout_cases()
     yield BooleanFunction(8, (1 << 32) - 1)
@@ -534,20 +504,39 @@ def _settle_cases():
             yield BooleanFunction(n, sum(1 << x for x in flat))
 
 
-def test_floored_pass_keeps_rank_and_hull_below_order_n_minus_floor():
-    # the floored pass settles no earlier than k + 1 + floor >= n: every order a certificate reads
-    # off it has the full pass's rank and hull
+def test_floored_pass_is_the_full_pass(monkeypatch):
+    # the floor only checks mu_k >= lda(1+f): every layer, rank and hull included, is the full
+    # pass's, and each reader, stopping on its own, gives what the whole layer list gives
     flat = BooleanFunction(8, (1 << 32) - 1)
     assert lda(complement(flat)) == 3 and lda(flat) == 1
-    for f in _settle_cases():
+    assert [(lay.rank, lay.hull) for lay in _layers(flat, 3)][:4] == [(6, 6), (16, 16), (26, 6), (31, 1)]
+    # counts every basis insert, the column scans' too: both sides run the same scans
+    inserted = []
+    monkeypatch.setattr(immunity, "insert", lambda slots, row: inserted.append(1) or insert(slots, row))
+    lazy_pass = immunity._layers
+    calls = (function_report, fai, profile)
+    counts = {(call.__name__, side): 0 for call in calls for side in ("every layer", "own stop")}
+    for f in itertools.chain(_floor_cases(), _settle_cases()):
         if f.tt == 0:
             continue
-        floor = lda(complement(f))
-        full, stopped = list(_layers(f, 0)), list(_layers(f, floor))
-        below = f.n - floor - 1
-        assert [(lay.rank, lay.hull) for lay in stopped[:below]] == [(lay.rank, lay.hull) for lay in full[:below]], f
-    flat_layers = list(_layers(flat, 3))[:4]
-    assert [(lay.rank, lay.hull) for lay in flat_layers] == [(6, 6), (16, 16), (26, 6), (31, 1)]
+        full = list(_layers(f, 0))
+        assert list(_layers(f, lda(complement(f)))) == full, f
+        best, res = _best_layer(full), fai(f)
+        assert list(profile(f).mu) == [lay.mu for lay in full], f
+        assert res.value == min(lay.k + lay.mu_adm for lay in full), f
+        assert res.witness == immunity._extract_witness(f, best), f
+        for call in calls:
+            del inserted[:]
+            with monkeypatch.context() as m:
+                m.setattr(immunity, "_layers", lambda g, floor: iter(list(lazy_pass(g, floor))))
+                want = call(f)
+            counts[call.__name__, "every layer"] += len(inserted)
+            del inserted[:]
+            assert call(f) == want, (call.__name__, f)
+            counts[call.__name__, "own stop"] += len(inserted)
+    # each reader's stop has to end some passes early, or this compares a pass with itself
+    for call in calls:
+        assert counts[call.__name__, "own stop"] < counts[call.__name__, "every layer"], counts
 
 
 def _fai_direct_butterfly(f):
@@ -748,9 +737,15 @@ def _floor_is_strictly_best(f, floor):
     return 2 * floor < min(totals[: floor - 1], default=math.inf)
 
 
-def test_fai_and_report_insert_no_level_from_the_floor_on(monkeypatch):
-    # the level of each product pass insert: each product row drawn is tagged with its function and
-    # level, and an insert of that very row reads the tag; the column scans insert no drawn row
+@pytest.fixture
+def pass_levels(monkeypatch):
+    """(tt, level) of each product pass insert, None for any other insert.
+
+    Each product row drawn is tagged with its function and level, and an
+    insert of that very row reads the tag; the column scans insert no drawn
+    row.  A row not inserted before the next is drawn, as the witness solve's
+    are, drops its tag.
+    """
     tags, levels = {}, []
     product_rows = immunity._product_rows
 
@@ -758,6 +753,7 @@ def test_fai_and_report_insert_no_level_from_the_floor_on(monkeypatch):
         for row in product_rows(g, monos, network):
             tags["at"] = row, (g.tt, monos[0].bit_count())
             yield row
+            tags.pop("at", None)
 
     def tagged_insert(slots, row):
         drawn, tag = tags.pop("at", (None, None))
@@ -766,22 +762,87 @@ def test_fai_and_report_insert_no_level_from_the_floor_on(monkeypatch):
 
     monkeypatch.setattr(immunity, "_product_rows", tagged_rows)
     monkeypatch.setattr(immunity, "insert", tagged_insert)
+    return levels
+
+
+def _levels_of(levels, f):
+    """The level of each insert of f's own pass, in order."""
+    return [level for tt, level in filter(None, levels) if tt == f.tt]
+
+
+def test_fai_and_report_insert_no_level_from_the_floor_on(pass_levels):
     fallbacks = 0
     for f in _floor_cases():
-        if f.is_constant():  # f = 1 has floor 0 and reads every layer
+        if f.is_constant():  # f = 1 has floor 0, below its layer 1
             continue
         fc = complement(f)
         floor, floor_c = lda(fc), lda(f)
         strictly_best = _floor_is_strictly_best(f, floor)
         for call in (fai, function_report):
-            del levels[:]
+            del pass_levels[:]
             call(f)
-            top = max(level for tt, level in filter(None, levels) if tt == f.tt)
+            top = max(_levels_of(pass_levels, f))
             assert top <= floor if strictly_best else top < floor, (call.__name__, f)
             fallbacks += top == floor
         # the report's FFAI pass on 1+f, seeded with 2 lda(f), stops below level lda(f)
-        assert all(level < floor_c for tt, level in filter(None, levels) if tt == fc.tt), f
+        assert all(level < floor_c for level in _levels_of(pass_levels, fc)), f
     assert fallbacks, "no case reads layer lda(1+f)"
+
+
+def _full_pass_levels(pass_levels, f):
+    """f's full pass and the level of each of its inserts."""
+    del pass_levels[:]
+    full = list(_layers(f, 0))
+    return full, _levels_of(pass_levels, f)
+
+
+def _fai_stop(full, floor):
+    """The layer after which FAI's read may stop: the first k with mu_k = floor or k + 1 >= floor,
+    and k + 1 + floor >= the least k + mu'_k so far."""
+    least = math.inf
+    for lay in full:
+        least = min(least, lay.k + lay.mu_adm)
+        if (lay.mu == floor or lay.k + 1 >= floor) and lay.k + 1 + floor >= least:
+            return lay.k
+    return full[-1].k
+
+
+def test_profile_inserts_no_level_past_its_first_layer_at_the_floor(pass_levels):
+    for f in itertools.chain(_floor_cases(), _settle_cases()):
+        if f.tt == 0:
+            continue
+        floor = lda(complement(f))
+        full, levels = _full_pass_levels(pass_levels, f)
+        stop = next(lay.k for lay in full if lay.mu == floor)
+        del pass_levels[:]
+        profile(f)
+        assert _levels_of(pass_levels, f) == [level for level in levels if level <= stop], f
+
+
+def test_fai_and_report_insert_no_level_past_their_stop(pass_levels):
+    early = 0  # stops at mu_k = floor with k + 1 < floor
+    for f in itertools.chain(_floor_cases(), _settle_cases()):
+        if f.tt == 0:
+            continue
+        floor = lda(complement(f))
+        full, levels = _full_pass_levels(pass_levels, f)
+        stop = _fai_stop(full, floor)
+        early += stop + 1 < floor
+        for call in (fai, function_report):
+            del pass_levels[:]
+            call(f)
+            assert _levels_of(pass_levels, f) == [level for level in levels if level <= stop], (call.__name__, f)
+    assert early, "no case stops on mu_k = floor alone"
+
+
+def test_all_ones_reads_levels_0_and_1(pass_levels):
+    # floor lda(0) = 0 and mu_1 = 0: the profile is all 0, and layer 1, with f*x1 = x1, is best
+    for n in range(4, 11):
+        f = all_ones(n)
+        for call in (fai, profile):
+            del pass_levels[:]
+            call(f)
+            assert _levels_of(pass_levels, f) == [0] + [1] * n, (call.__name__, n)
 
 
 @pytest.mark.parametrize(
