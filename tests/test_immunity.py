@@ -504,12 +504,9 @@ def _settle_cases():
             yield BooleanFunction(n, sum(1 << x for x in flat))
 
 
-def test_floored_pass_is_the_full_pass(monkeypatch):
-    # the floor only checks mu_k >= lda(1+f): every layer, rank and hull included, is the full
-    # pass's, and each reader, stopping on its own, gives what the whole layer list gives
-    flat = BooleanFunction(8, (1 << 32) - 1)
-    assert lda(complement(flat)) == 3 and lda(flat) == 1
-    assert [(lay.rank, lay.hull) for lay in _layers(flat, 3)][:4] == [(6, 6), (16, 16), (26, 6), (31, 1)]
+def test_floor_stopped_pass_matches_full_pass(monkeypatch):
+    # the floor only checks mu_k >= lda(1+f): every layer is the full pass's, and each reader,
+    # stopping on its own at the floor, gives what the whole layer list gives
     # counts every basis insert, the column scans' too: both sides run the same scans
     inserted = []
     monkeypatch.setattr(immunity, "insert", lambda slots, row: inserted.append(1) or insert(slots, row))
@@ -537,6 +534,19 @@ def test_floored_pass_is_the_full_pass(monkeypatch):
     # each reader's stop has to end some passes early, or this compares a pass with itself
     for call in calls:
         assert counts[call.__name__, "own stop"] < counts[call.__name__, "every layer"], counts
+
+
+def test_floored_pass_keeps_rank_and_hull_below_order_n_minus_floor():
+    # every order a certificate reads off the floored pass has the full pass's rank and hull;
+    # on the flat x6 = x7 = x8 = 0 a pass that stopped at mu'_1 = floor would read stale ones
+    flat = BooleanFunction(8, (1 << 32) - 1)
+    assert lda(complement(flat)) == 3 and lda(flat) == 1
+    assert [(lay.rank, lay.hull) for lay in _layers(flat, 3)][:4] == [(6, 6), (16, 16), (26, 6), (31, 1)]
+    for f in _settle_cases():
+        if f.tt == 0:
+            continue
+        full, floored = list(_layers(f, 0)), list(_layers(f, lda(complement(f))))
+        assert [(lay.rank, lay.hull) for lay in floored] == [(lay.rank, lay.hull) for lay in full], f
 
 
 def _fai_direct_butterfly(f):
