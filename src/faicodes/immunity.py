@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -75,8 +75,8 @@ class FaiResult:
         return self.profile_bound != self.value
 
 
-def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
-    """The column route: the least d where a column of degree d depends on earlier ones.
+def _first_dependency(n: int, tts: tuple[int, ...], upto: int | None = None) -> int | None:
+    """The column route: the least d <= upto where a column of degree d depends on earlier ones.
 
     The columns are co-monomial: tt * prod_{j in m} (1 + x_j) for the masks m
     in degree order, `comonomial_tt(m, n)` read once for all tables.  That
@@ -92,7 +92,8 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
     Each table's columns go into its own XOR basis, level by level.  They
     live on supp(tt), so once C(n, <= d) exceeds the lightest weight, level
     d is dependent and no lower level was: d is returned without inserting
-    it.  None when no column depends.
+    it.  No level above upto, when given, is scanned.  None when no
+    column scanned depends.
 
     Level 0's one column is tt itself, nonzero once the weight test passed,
     so it seeds each empty basis in the slot insert would give it.
@@ -106,7 +107,7 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
         slots[tt.bit_length()] = tt
         bases.append((tt, slots))
     count = 1
-    for d, level in enumerate(monomials_by_degree(n)[1:], start=1):
+    for d, level in enumerate(monomials_by_degree(n)[1 : None if upto is None else upto + 1], start=1):
         count += len(level)
         if count > lightest:
             return d
@@ -118,13 +119,14 @@ def _first_dependency(n: int, tts: tuple[int, ...]) -> int | None:
     return None
 
 
-def lda(f: BooleanFunction) -> int | None:
+def lda(f: BooleanFunction, upto: int | None = None) -> int | None:
     """Lowest degree of a nonzero annihilator of f; None when f is all-ones.
 
     The co-monomial column scan of f alone, which ends by the first d with
-    C(n, <= d) > wt(f).
+    C(n, <= d) > wt(f).  Given upto, it scans no level above upto and
+    returns lda(f) when that is <= upto, else None.
     """
-    return _first_dependency(f.n, (f.tt,))
+    return _first_dependency(f.n, (f.tt,), upto)
 
 
 def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
@@ -276,10 +278,13 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     on, mu_k = floor.  That layer is floor at the latest when floor >= 1: a
     nonzero annihilator h of 1+f of degree floor has f*h = h and is not
     constant, so mu_k = mu'_k = floor for every k >= floor
-    (notes/decisions.md, section 16).  Each reader owns its stop: `profile`
-    after the first layer at the floor, `_fai` and `_least_total` once no
-    later layer can lower the least k + mu'_k, and certificates once, also,
-    every order below n - floor is read (section 17).
+    (notes/decisions.md, section 16).  From layer n - floor on, the basis
+    has rank wt(f), so it holds that h and mu_k = floor there too
+    (`_Layer`; section 18).  Each reader owns its stop: `profile` after the
+    first layer at the floor or before layer min(floor, n - floor), `_fai`
+    and `_least_total` once no later layer can lower the least k + mu'_k,
+    and certificates once, also, every order below n - floor is read
+    (sections 17 and 18).
     """
     n = f.n
     size, weight = 1 << n, f.tt.bit_count()
@@ -332,12 +337,15 @@ def profile(f: BooleanFunction) -> ImmunityProfile:
     """(mu_1, ..., mu_n) from the pass floored at floor = lda(1+f); all None when f = 0.
 
     The read stops after the first layer with mu_k = floor: mu never rises
-    and never goes below the floor, so every later entry is floor.
+    and never goes below the floor, so every later entry is floor.  Layer
+    min(floor, n - floor) is at the floor (`_layers`), so no layer from it
+    on is read, and islice, unlike takewhile, draws none of them.
     """
     if f.tt == 0:
         return ImmunityProfile(f.n, (None,) * f.n)
     floor = lda(complement(f))
-    above = tuple(takewhile(lambda mu: mu > floor, (layer.mu for layer in _layers(f, floor))))
+    layers = islice(_layers(f, floor), max(min(floor, f.n - floor) - 1, 0))
+    above = tuple(takewhile(lambda mu: mu > floor, (layer.mu for layer in layers)))
     return ImmunityProfile(f.n, above + (floor,) * (f.n - len(above)))
 
 
@@ -360,26 +368,26 @@ def _fai(f: BooleanFunction, floor: int) -> tuple[FaiResult, tuple[int, ...]]:
     """FAI(f) and the profile (mu_1, ..., mu_n) from the lazy pass on f floored at floor = lda(1+f).
 
     mu_j = floor for every layer j after one with mu_k = floor, and for every
-    j >= floor >= 1 (`_layers`); layer j totals j + mu'_j >= j + floor.  So
-    the read stops after layer k once mu_k = floor or k + 1 >= floor, and
-    k + 1 + floor >= the least total so far: no later layer is strictly
-    better, and every later profile entry is floor.  Level floor is inserted
-    only when every earlier layer totals above 2 floor: layer floor is then
+    j >= min(floor, n - floor) (`_layers`); layer j totals
+    j + mu'_j >= j + floor.  So the read stops after layer k once mu_k =
+    floor or k + 1 >= min(floor, n - floor), and k + 1 + floor >= the least
+    total so far: no later layer is strictly better, and every later profile
+    entry is floor.  Level floor is inserted only when floor <= n - floor
+    and every earlier layer totals above 2 floor: layer floor is then
     strictly best and gives the witness.  f = 1, floor 0, has mu_1 = 0.
     """
-    layers, least = [], inf
+    layers, least, top = [], inf, min(floor, f.n - floor)
     for layer in _layers(f, floor):
         layers.append(layer)
         least = min(least, layer.k + layer.mu_adm)
-        if (layer.mu == floor or floor <= layer.k + 1) and layer.k + 1 + floor >= least:
+        if (layer.mu == floor or top <= layer.k + 1) and layer.k + 1 + floor >= least:
             break
     last = layers[-1]
     if floor == last.k and (last.mu, last.mu_adm) != (floor, floor):
         raise AssertionError("layer lda(1+f) is not at the floor")
     # mu' and the witness route hang on the annihilator status: check it by the column route,
-    # exact on every level the pass inserted, and above the last one when the pass found none
-    column = lda(f)
-    if last.lda != (column if column is not None and column <= last.k else None):
+    # which scans only the levels the pass inserted, and finds none there when the pass found none
+    if last.lda != lda(f, last.k):
         raise AssertionError("the product pass and the column route disagree on lda(f)")
     mu = tuple(layer.mu for layer in layers) + (floor,) * (f.n - last.k)
     best = _best_layer(layers)
@@ -430,22 +438,28 @@ def ffai(f: BooleanFunction) -> int:
         raise ValueError("FFAI is undefined for constant functions")
     fc = complement(f)
     lda_f, lda_fc = lda(f), lda(fc)
-    return _least_total(fc, lda_f, _least_total(f, lda_fc))
+    return _least_total(fc, lda_f, lda_fc, _least_total(f, lda_fc, lda_f))
 
 
-def _least_total(f: BooleanFunction, floor: int, best: float = inf) -> int:
+def _least_total(f: BooleanFunction, floor: int, own: int, best: float = inf) -> int:
     """min(best, least k + mu'_k) over the lazy pass on a nonzero, non-constant f floored at floor = lda(1+f).
 
-    best starts at most at 2 floor, the total of layer floor (`_layers`).
-    Layer k has k + mu'_k >= k + floor, so no layer k with k + floor >= best
-    is read, and its level is never inserted: the pass stops below level
-    floor.
+    own is lda(f), and high = max(own, floor).  best starts at most at
+    2 floor, the total of layer floor (`_layers`).  Every layer k < floor
+    totals at least k + high: mu'_k >= floor always, and when own > floor
+    also mu'_k >= own, since for a nonzero h = f*g with deg g <= k, g + h
+    is a nonzero annihilator of f of degree <= max(k, deg h), as g = h would
+    annihilate 1+f below the floor (notes/decisions.md, section 18).  Every
+    layer k >= floor totals at least 2 floor >= best.  So no layer k with
+    k + high >= best is read, and its level is never inserted: the pass
+    stops below level floor.
     """
+    high = max(own, floor)
     best = min(best, 2 * floor)
-    if 1 + floor < best:
+    if 1 + high < best:
         for layer in _layers(f, floor):
             best = min(best, layer.k + layer.mu_adm)
-            if layer.k + 1 + floor >= best:
+            if layer.k + 1 + high >= best:
                 break
     return int(best)
 
@@ -520,7 +534,7 @@ def function_report(f: BooleanFunction) -> dict:
         "lda_fc": lda_fc,
         "profile": list(mu),
         "fai": res.value,
-        "ffai": None if f.is_constant() else _least_total(fc, lda_f, res.value),
+        "ffai": None if f.is_constant() else _least_total(fc, lda_f, lda_fc, res.value),
         "witness_g": format_anf(res.witness.g),
         "witness_total": res.witness.total,
     }

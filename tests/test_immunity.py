@@ -348,14 +348,14 @@ def test_ai_scan_matches_min_of_ldas():
 
 
 def test_ffai_stops_each_pass_at_its_floor():
-    # each side of ffai alone: the pass floored at the other side's lda, read
-    # only while k + floor < the least total so far, against the full pass
+    # each side of ffai alone: the pass floored at the other side's lda and given its own, read
+    # only while the bound on later totals is below the least total so far, against the full pass
     for f in _two_sided_cases():
         if f.is_constant():
             continue
         for side, other in ((f, complement(f)), (complement(f), f)):
             floor = lda(other)
-            assert _least_total(side, floor) == _fai_value(side), side
+            assert _least_total(side, floor, lda(side)) == _fai_value(side), side
 
 
 def _count_boundary_cases():
@@ -732,12 +732,17 @@ def _tail_cases():
 
 
 def test_full_pass_tail_is_the_floor():
-    # a nonzero annihilator h of 1+f of degree floor >= 1 has f*h = h, so mu_k = mu'_k = floor from k = floor on
+    # a nonzero annihilator h of 1+f of degree floor >= 1 has f*h = h, so mu_k = mu'_k = floor from k = floor on;
+    # read on supp(f) the products of order k are RM(k, n) restricted there, of dimension
+    # wt(f) - A_{1+f}(n - k - 1), so from k = n - floor on they span every function on supp(f),
+    # h among them: the rank is wt(f) and mu_k is the floor
     for f in _tail_cases():
-        floor = lda(complement(f))
+        floor, full = lda(complement(f)), list(_layers(f, 0))
+        full_rank = [(lay.k, lay.rank, lay.mu) for lay in full if lay.k >= f.n - floor]
+        assert full_rank == [(k, f.tt.bit_count(), floor) for k in range(max(1, f.n - floor), f.n + 1)], f
         if floor == 0:  # f = 1: g = 1 is excluded, and mu'_k = 1 > mu_k = 0
             continue
-        tail = [(lay.k, lay.mu, lay.mu_adm) for lay in _layers(f, 0)][floor - 1 :]
+        tail = [(lay.k, lay.mu, lay.mu_adm) for lay in full][floor - 1 :]
         assert tail == [(k, floor, floor) for k in range(floor, f.n + 1)], f
 
 
@@ -807,52 +812,107 @@ def _full_pass_levels(pass_levels, f):
 
 
 def _fai_stop(full, floor):
-    """The layer after which FAI's read may stop: the first k with mu_k = floor or k + 1 >= floor,
-    and k + 1 + floor >= the least k + mu'_k so far."""
-    least = math.inf
+    """The layer after which FAI's read may stop, and whether only the n - floor clause allows it there:
+    the first k with mu_k = floor or k + 1 >= min(floor, n - floor), and k + 1 + floor >= the least
+    k + mu'_k so far."""
+    least, n = math.inf, len(full)
     for lay in full:
         least = min(least, lay.k + lay.mu_adm)
-        if (lay.mu == floor or lay.k + 1 >= floor) and lay.k + 1 + floor >= least:
-            return lay.k
-    return full[-1].k
+        if (lay.mu == floor or lay.k + 1 >= min(floor, n - floor)) and lay.k + 1 + floor >= least:
+            return lay.k, lay.mu != floor and lay.k + 1 < floor
+    return full[-1].k, False
+
+
+def _inserted_upto(levels, stop):
+    """The levels a pass inserts when it reads layers 1..stop: none when it reads no layer."""
+    return [level for level in levels if level <= stop] if stop else []
 
 
 def test_profile_inserts_no_level_past_its_first_layer_at_the_floor(pass_levels):
+    # layer min(floor, n - floor) is at the floor, so profile reads at most the layers before it
     for f in itertools.chain(_floor_cases(), _settle_cases()):
         if f.tt == 0:
             continue
         floor = lda(complement(f))
         full, levels = _full_pass_levels(pass_levels, f)
-        stop = next(lay.k for lay in full if lay.mu == floor)
+        stop = min(next(lay.k for lay in full if lay.mu == floor), max(min(floor, f.n - floor) - 1, 0))
         del pass_levels[:]
         profile(f)
-        assert _levels_of(pass_levels, f) == [level for level in levels if level <= stop], f
+        assert _levels_of(pass_levels, f) == _inserted_upto(levels, stop), f
 
 
 def test_fai_and_report_insert_no_level_past_their_stop(pass_levels):
-    early = 0  # stops at mu_k = floor with k + 1 < floor
+    early = tail = 0  # stops at mu_k = floor with k + 1 < floor; stops on k + 1 >= n - floor alone
     for f in itertools.chain(_floor_cases(), _settle_cases()):
         if f.tt == 0:
             continue
         floor = lda(complement(f))
         full, levels = _full_pass_levels(pass_levels, f)
-        stop = _fai_stop(full, floor)
-        early += stop + 1 < floor
+        stop, by_tail = _fai_stop(full, floor)
+        early += full[stop - 1].mu == floor and stop + 1 < floor
+        tail += by_tail
         for call in (fai, function_report):
             del pass_levels[:]
             call(f)
             assert _levels_of(pass_levels, f) == [level for level in levels if level <= stop], (call.__name__, f)
     assert early, "no case stops on mu_k = floor alone"
+    assert tail, "no case stops on k + 1 >= n - floor alone"
+
+
+def _least_total_stop(full, floor, own, best):
+    """The last layer _least_total reads, 0 for none: it stops before the first layer j with
+    min(j + max(own, floor), max(j, min(own, floor)) + floor) >= the least total so far.
+    With own = floor the bound is j + floor, the stop before lda(f) was used."""
+    best = min(best, 2 * floor)
+    for lay in full:
+        if min(lay.k + max(own, floor), max(lay.k, min(own, floor)) + floor) >= best:
+            return lay.k - 1
+        best = min(best, lay.k + lay.mu_adm)
+    return full[-1].k
+
+
+def _light_cases():
+    """Seeded light functions at n = 9..11, about an eighth of the points each."""
+    rng = random.Random(31)
+    for n in (9, 10, 11):
+        size = 1 << n
+        yield BooleanFunction(n, rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size))
+
+
+def test_ffai_passes_insert_no_level_past_their_stop(pass_levels):
+    # ffai's two passes and the report's pass on 1+f stop by the AI-range bound on later totals;
+    # it ends some passes below where k + 1 + floor >= the least total would (the old stop)
+    earlier = []
+    for f in itertools.chain(_two_sided_cases(), _light_cases()):
+        if f.is_constant():
+            continue
+        fc = complement(f)
+        lda_f, lda_fc = lda(f), lda(fc)
+        full, levels = _full_pass_levels(pass_levels, f)
+        full_c, levels_c = _full_pass_levels(pass_levels, fc)
+        fai_f = min(lay.k + lay.mu_adm for lay in full)
+        stop, stop_c = _least_total_stop(full, lda_fc, lda_f, math.inf), _least_total_stop(full_c, lda_f, lda_fc, fai_f)
+        del pass_levels[:]
+        ffai(f)
+        assert _levels_of(pass_levels, f) == _inserted_upto(levels, stop), f
+        assert _levels_of(pass_levels, fc) == _inserted_upto(levels_c, stop_c), f
+        del pass_levels[:]
+        function_report(f)
+        assert _levels_of(pass_levels, fc) == _inserted_upto(levels_c, stop_c), f
+        if stop_c < _least_total_stop(full_c, lda_f, lda_f, fai_f):
+            earlier.append((f.n, f.tt.bit_count() < 1 << f.n - 1))
+    assert (11, True) in earlier, "no light n = 11 pass on 1+f stops below the old stop"
 
 
 def test_all_ones_reads_levels_0_and_1(pass_levels):
-    # floor lda(0) = 0 and mu_1 = 0: the profile is all 0, and layer 1, with f*x1 = x1, is best
+    # floor lda(0) = 0 and mu_1 = 0: the profile is all 0, and layer 1, with f*x1 = x1, is best;
+    # profile reads no layer, as layer min(floor, n - floor) = 0 is already at the floor
     for n in range(4, 11):
         f = all_ones(n)
-        for call in (fai, profile):
+        for call, want in ((fai, [0] + [1] * n), (profile, [])):
             del pass_levels[:]
             call(f)
-            assert _levels_of(pass_levels, f) == [0] + [1] * n, (call.__name__, n)
+            assert _levels_of(pass_levels, f) == want, (call.__name__, n)
 
 
 @pytest.mark.parametrize(
@@ -867,7 +927,13 @@ def test_all_ones_reads_levels_0_and_1(pass_levels):
 def test_fai_lda_cross_check_covers_the_levels_inserted(monkeypatch, spec, column, fires):
     f = parse_function(spec)
     column_route = immunity.lda
-    monkeypatch.setattr(immunity, "lda", lambda g: column if g == f else column_route(g))
+
+    def wrong_lda(g, upto=None):  # the column value for f, under lda(f, upto)'s contract
+        if g != f:
+            return column_route(g, upto)
+        return column if column is not None and (upto is None or column <= upto) else None
+
+    monkeypatch.setattr(immunity, "lda", wrong_lda)
     for call in (fai, function_report):
         if fires:
             with pytest.raises(AssertionError, match="disagree on lda"):
@@ -931,3 +997,94 @@ def test_profile_matches_enumeration_of_every_g():
         assert report["profile"][:eff] == list(profile(f).mu[:eff]) == [m for m, _ in want], f
         assert [lay.mu_adm for lay in _layers(f, 0)][:eff] == [m for _, m in want], f
         assert report["fai"] == fai(f).value == min(k + m for k, (_, m) in enumerate(want, start=1)), f
+
+
+def test_pass_rank_matches_annihilator_dimensions():
+    # every order's rank as wt(f) - A_{1+f}(n - k - 1), A from truth-table column ranks
+    for f in _duality_cases():
+        if f.tt == 0:
+            continue
+        n, weight = f.n, f.tt.bit_count()
+        dims_c = [0, *_annihilator_dims(complement(f))]  # dims_c[j + 1] = A_{1+f}(j)
+        assert [lay.rank for lay in _layers(f, 0)] == [weight - dims_c[n - k] for k in range(1, n + 1)], f
+
+
+def _below_ai_cases():
+    """Every non-constant function at n <= 4, then seeded dense, light and heavy ones at n = 5..11."""
+    for f in _functions(4, (), 0, seed=0):
+        if not f.is_constant():
+            yield f
+    rng = random.Random(32)
+    for n in range(5, 12):
+        size = 1 << n
+        for _ in range(12 if n < 9 else 2):
+            light = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+            yield BooleanFunction(n, rng.getrandbits(size))
+            yield BooleanFunction(n, light)
+            yield BooleanFunction(n, light ^ (1 << size) - 1)
+
+
+def test_mu_below_ai_is_at_least_both_ldas():
+    # for k < AI, a nonzero f*g = h with deg g <= k gives the annihilator g + h of f, nonzero as
+    # g = h would annihilate 1+f below its lda; so deg h >= lda(f), and mu_k >= max(lda f, lda 1+f)
+    tight = 0  # layers where the bound is met with lda(f) != lda(1+f)
+    for f in _below_ai_cases():
+        lda_f, lda_fc = lda(f), lda(complement(f))
+        for lay in _layers(f, 0):
+            if lay.k < min(lda_f, lda_fc):
+                assert lay.mu >= max(lda_f, lda_fc), (f, lay.k)
+                tight += lay.mu == max(lda_f, lda_fc) and lda_f != lda_fc
+    assert tight, "no layer meets the bound with lda(f) != lda(1+f)"
+
+
+def test_mu_below_ai_by_enumeration():
+    # the same law on the brute-force profile, every g of degree <= max(1, n // 2), at n <= 5
+    checked = set()
+    for f in _enumeration_cases():
+        if f.is_constant():
+            continue
+        lda_f, lda_fc = lda(f), lda(complement(f))
+        for k, (mu, mu_adm) in enumerate(_profile_by_enumeration(f), start=1):
+            if k < min(lda_f, lda_fc):
+                assert mu_adm >= mu >= max(lda_f, lda_fc), (f, k)
+                checked.add((f.n, k))
+    assert {(4, 1), (5, 1), (5, 2)} <= checked, checked
+
+
+def _lda_upto_cases():
+    """Every nonzero function at n <= 3, then seeded dense, light, heavy and one-point ones at n = 4..11."""
+    for f in _functions(3, (), 0, seed=0):
+        if f.tt:
+            yield f
+    rng = random.Random(33)
+    for n in range(4, 12):
+        size = 1 << n
+        for _ in range(3 if n < 10 else 1):
+            light = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+            yield BooleanFunction(n, rng.getrandbits(size))
+            yield BooleanFunction(n, light)
+            yield BooleanFunction(n, light ^ (1 << size) - 1)
+            yield BooleanFunction(n, 1 << rng.randrange(size))
+
+
+def test_lda_upto_scans_no_level_above_upto(monkeypatch):
+    # lda(f, upto) is lda(f) when that is <= upto, else None, and inserts no column of degree > upto;
+    # each insert is tagged with the degree of the co-monomial column the scan read last
+    degrees, at = [], {}
+    comonomial = immunity.comonomial_tt
+
+    def noted_comonomial(m, n):
+        at["degree"] = m.bit_count()
+        return comonomial(m, n)
+
+    monkeypatch.setattr(immunity, "comonomial_tt", noted_comonomial)
+    monkeypatch.setattr(immunity, "insert", lambda slots, row: degrees.append(at["degree"]) or insert(slots, row))
+    reached = 0  # bounded scans that inserted a column of degree upto
+    for f in _lda_upto_cases():
+        want = lda(f)
+        for upto in range(f.n + 1):
+            del degrees[:]
+            assert lda(f, upto) == (want if want is not None and want <= upto else None), (f, upto)
+            assert all(d <= upto for d in degrees), (f, upto)
+            reached += upto in degrees and upto < f.n
+    assert reached, "no bounded scan reaches its top level"
