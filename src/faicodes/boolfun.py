@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .f2linalg import BitMatrix, combine, gather, rank, solve_preimage, transpose
 
@@ -53,23 +53,9 @@ def mobius(bits: int, n: int) -> int:
     return bits
 
 
-def superset_parity(bits: int, n: int) -> int:
-    """The butterfly with its shift reversed: bit w is the parity of the bits x with x ⪰ w."""
-    for shift, mask in _butterfly_masks(n):
-        bits ^= (bits >> shift) & mask
-    return bits
-
-
-@lru_cache(maxsize=8192)
 def monomial_tt(mask: int, n: int) -> int:
     """Truth table of the monomial prod_{j in mask} x_j: the transform of its one-term ANF."""
     return mobius(1 << mask, n)
-
-
-@lru_cache(maxsize=8192)
-def comonomial_tt(mask: int, n: int) -> int:
-    """Truth table of prod_{j in mask} (1 + x_j), the points that avoid mask: the ANF sums x^s over s ⊆ mask."""
-    return mobius(superset_parity(1 << mask, n), n)
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +65,58 @@ def monomials_by_degree(n: int) -> tuple[tuple[int, ...], ...]:
     for m in range(1 << n):
         levels[m.bit_count()].append(m)
     return tuple(tuple(lv) for lv in levels)
+
+
+# levels on at most this many variables are held once built: 2^13 tables of 2^13 bits per kind, 8 MiB
+_HELD_LEVEL_VARS = 13
+
+
+@lru_cache(maxsize=None)
+def variable_tts(n: int) -> tuple[int, ...]:
+    """The truth tables of x_1, ..., x_n, held for every n."""
+    return tuple(mobius(1 << (1 << j), n) for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _factors(n: int, co: bool) -> tuple[int, tuple[int, ...]]:
+    """(the all-ones table, the tables a level's entries AND together): x_j, or 1 + x_j when co."""
+    ones = (1 << (1 << n)) - 1
+    return ones, tuple(ones ^ x for x in variable_tts(n)) if co else variable_tts(n)
+
+
+def _and_table(ones: int, factors: tuple[int, ...], mask: int) -> int:
+    """The AND of factors[j] over the set bits j of mask; ones for mask 0."""
+    table = ones
+    while mask:
+        low = mask & -mask
+        table &= factors[low.bit_length() - 1]
+        mask ^= low
+    return table
+
+
+def _built_level(n: int, d: int, co: bool) -> Iterator[int]:
+    """Level d's tables as a lazy map, each built as it is drawn."""
+    return map(partial(_and_table, *_factors(n, co)), monomials_by_degree(n)[d])
+
+
+@lru_cache(maxsize=None)
+def _held_level(n: int, d: int, co: bool) -> tuple[int, ...]:
+    """Level d's tables, built once and held."""
+    return tuple(_built_level(n, d, co))
+
+
+def level_tables(n: int, d: int, co: bool = False) -> Iterable[int]:
+    """The truth tables of level d of monomials_by_degree(n), in its order: x^m, or prod_{j in m} (1 + x_j) when co.
+
+    Each table is the AND of the variables' tables (or their complements)
+    over the bits of m.  Up to _HELD_LEVEL_VARS variables a level is built
+    the first time it is asked for and held, a tuple.  Above, each table is
+    read from a lazy map as it is drawn and nothing is held: a scan or pass
+    there reads each mask once, so a held table would never be read again.
+    """
+    if n <= _HELD_LEVEL_VARS:
+        return _held_level(n, d, co)
+    return _built_level(n, d, co)
 
 
 @lru_cache(maxsize=None)

@@ -9,27 +9,29 @@ when f has a nonzero annihilator of degree <= k.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, takewhile
+from itertools import accumulate, chain, islice, takewhile
 from math import inf
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .boolfun import (
+    _HELD_LEVEL_VARS,
     MAX_VARS,
     Anf,
     BooleanFunction,
     anf_degree,
-    comonomial_tt,
     complement,
     degree,
     format_anf,
     format_function,
+    level_tables,
     mobius,
     monomial_sum,
-    monomial_tt,
     monomials_by_degree,
     monomials_upto,
+    variable_tts,
 )
 from .f2linalg import BitMatrix, _benes, _Network, _permute, combine, insert, rref, solve_preimage, transpose
 
@@ -75,25 +77,55 @@ class FaiResult:
         return self.profile_bound != self.value
 
 
+_Stage = tuple[tuple[int, int, Iterable[int]], ...]
+
+# per n <= _HELD_LEVEL_VARS, the levels the column scans have read so far: (d, C(n, <= d), level d's co-monomial tables)
+_scan_stages: dict[int, _Stage] = {}
+
+
+def _stage(n: int, lightest: int, limit: int) -> _Stage:
+    """The levels 0..min(limit, stop) a column scan of that lightest weight, bounded at limit, reads.
+
+    stop is the first d with C(n, <= d) > lightest, where the scan returns
+    on the count alone, so that level carries no tables.  Up to
+    _HELD_LEVEL_VARS variables the stage is held, and a later scan replaces
+    it only when it reads past it, so no level is built before a scan reads
+    it and a stage never shrinks.  Above, each scan stages lazy maps afresh.
+    """
+    counts = tuple(accumulate(map(len, monomials_by_degree(n))))
+    stop = bisect_right(counts, lightest)
+    stage = tuple((d, counts[d], level_tables(n, d, True) if d < stop else ()) for d in range(min(limit, stop) + 1))
+    if n <= _HELD_LEVEL_VARS:
+        _scan_stages[n] = stage
+    return stage
+
+
+def _tables_upto(n: int, k: int) -> Iterator[int]:
+    """The truth tables x^m of the masks of degree <= k, in monomials_upto order."""
+    return chain.from_iterable(level_tables(n, d) for d in range(min(k, n) + 1))
+
+
 def _first_dependency(n: int, tts: tuple[int, ...], upto: int | None = None) -> int | None:
     """The column route: the least d <= upto where a column of degree d depends on earlier ones.
 
     The columns are co-monomial: tt * prod_{j in m} (1 + x_j) for the masks m
-    in degree order, `comonomial_tt(m, n)` read once for all tables.  That
-    product is the sum of x^s over s ⊆ m, unitriangular in degree order, so
-    the columns of degree <= d span what the monomial columns tt*m do, and
-    every level is dependent exactly when it is with monomials.  insert
-    pivots on the highest bit: monomial columns lead at the top points of
-    supp(tt), which cover nearly every m, so their leads pile up and each
-    insert walks a long chain, while a co-monomial column leads at ~m
-    whenever ~m is in supp(tt), so leads mostly differ (notes/decisions.md,
-    section 14).
+    in degree order.  That product is the sum of x^s over s ⊆ m,
+    unitriangular in degree order, so the columns of degree <= d span what
+    the monomial columns tt*m do, and every level is dependent exactly when
+    it is with monomials.  insert pivots on the highest bit: monomial
+    columns lead at the top points of supp(tt), which cover nearly every m,
+    so their leads pile up and each insert walks a long chain, while a
+    co-monomial column leads at ~m whenever ~m is in supp(tt), so leads
+    mostly differ (notes/decisions.md, section 14).
 
-    Each table's columns go into its own XOR basis, level by level.  They
-    live on supp(tt), so once C(n, <= d) exceeds the lightest weight, level
-    d is dependent and no lower level was: d is returned without inserting
-    it.  No level above upto, when given, is scanned.  None when no
-    column scanned depends.
+    The scan reads its levels off one `_stage` tuple of (d, C(n, <= d), the
+    level's co-monomial tables), held per n up to _HELD_LEVEL_VARS
+    variables, so it makes no lookup per level or per column, and it reads
+    each table once for all tables tt.  Each tt's columns go into its own
+    XOR basis, level by level.  They live on supp(tt), so once C(n, <= d)
+    exceeds the lightest weight, level d is dependent and no lower level
+    was: d is returned without reading its tables.  No level above upto,
+    when given, is read.  None when no column scanned depends.
 
     Level 0's one column is tt itself, nonzero once the weight test passed,
     so it seeds each empty basis in the slot insert would give it.
@@ -106,13 +138,14 @@ def _first_dependency(n: int, tts: tuple[int, ...], upto: int | None = None) -> 
         slots = [0] * ((1 << n) + 1)
         slots[tt.bit_length()] = tt
         bases.append((tt, slots))
-    count = 1
-    for d, level in enumerate(monomials_by_degree(n)[1 : None if upto is None else upto + 1], start=1):
-        count += len(level)
+    limit = n if upto is None else max(min(upto, n), 0)
+    stage = _scan_stages.get(n)
+    if stage is None or len(stage) <= limit + 1 and stage[-1][1] <= lightest:
+        stage = _stage(n, lightest, limit)
+    for d, count, level in stage[1 : limit + 1]:
         if count > lightest:
             return d
-        for m in level:
-            column = comonomial_tt(m, n)
+        for column in level:
             for tt, slots in bases:
                 if not insert(slots, tt & column):
                     return d
@@ -144,8 +177,8 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
     monos = monomials_upto(n, e)
     width = len(monos)
     slots = [0] * ((1 << n) + width + 1)
-    for i, m in enumerate(monos):
-        insert(slots, (f.tt & monomial_tt(m, n)) << width | 1 << i)
+    for i, table in enumerate(_tables_upto(n, e)):
+        insert(slots, (f.tt & table) << width | 1 << i)
         if slots[i + 1]:
             g = Anf(n, monomial_sum(slots[i + 1], monos))
             if f.tt & mobius(g.coeffs, n):
@@ -171,35 +204,34 @@ def _chunk_shape(n: int) -> tuple[int, int]:
     return width, (1 << MAX_VARS >> 3) // width
 
 
-def _product_rows(f: BooleanFunction, monos: Sequence[int], network: _Network = ()) -> Iterator[int]:
-    """The ANFs of f*m, one row per monomial m of monos, in order, each permuted by network.
+def _product_rows(f: BooleanFunction, tables: Iterable[int], network: _Network = ()) -> Iterator[int]:
+    """The ANFs of f*t, one row per truth table t of tables, in order, each permuted by network.
 
-    The truth tables f*m are packed into one int a chunk at a time
+    The truth tables f*t are packed into one int a chunk at a time
     (`_chunk_shape`), so one Möbius butterfly and one pass of the network
     transform every row of the chunk; the network's masks repeat at the
-    row stride, as to_degree's do.  A chunk is transformed when its first
-    row is asked for.
+    row stride, as to_degree's do.  A chunk's tables are drawn, and the
+    chunk transformed, when its first row is asked for.
     """
     n = f.n
     width, per_chunk = _chunk_shape(n)
-    for start in range(0, len(monos), per_chunk):
-        tables = (f.tt & monomial_tt(m, n) for m in monos[start : start + per_chunk])
-        chunk = b"".join(tt.to_bytes(width, "little") for tt in tables)
+    tables = iter(tables)
+    while chunk := b"".join((f.tt & t).to_bytes(width, "little") for t in islice(tables, per_chunk)):
         out = _permute(mobius(int.from_bytes(chunk, "little"), n), network).to_bytes(len(chunk), "little")
         for i in range(0, len(out), width):
             yield int.from_bytes(out[i : i + width], "little")
 
 
-def _products(f: BooleanFunction, monos: Sequence[int]) -> BitMatrix:
-    """The ANFs of f*m, one 2^n-bit row per monomial m of monos, in order."""
-    return BitMatrix.from_rows(_product_rows(f, monos), 1 << f.n)
+def _products(f: BooleanFunction, k: int) -> BitMatrix:
+    """The ANFs of f*m, one 2^n-bit row per monomial m of degree <= k, in monomials_upto order."""
+    return BitMatrix.from_rows(_product_rows(f, _tables_upto(f.n, k)), 1 << f.n)
 
 
 def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
     """RREF basis of span{anf(f*m) : m a monomial of degree <= k}, as 2^n-bit rows."""
     if not 0 <= k <= f.n:
         raise ValueError(f"degree bound {k} out of range 0..{f.n}")
-    return rref(_products(f, monomials_upto(f.n, k)))[0]
+    return rref(_products(f, k))[0]
 
 
 # --- degree-ordered elimination engine -------------------------------------
@@ -251,11 +283,13 @@ class _Layer(NamedTuple):
 def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     """Insert each product f*m of a nonzero f once, in degree order; yield k = 1..n.
 
-    Each level's products come in degree-ordered ANF from `_product_rows`,
-    one butterfly and one pass of to_degree per chunk.  A chunk is
-    transformed when the pass takes its first row, so a stop wastes at most
-    the rest of one chunk, and a level the pass never reaches is never
-    transformed.  f's own row is level 0's one product, f*1.
+    Each level's products come in degree-ordered ANF from `_product_rows`
+    on the level's monomial tables from `level_tables`, one butterfly and
+    one pass of to_degree per chunk.  A chunk's tables are drawn and the
+    chunk transformed when the pass takes its first row, so a stop wastes at
+    most the rest of one chunk, and a level the pass never reaches is never
+    built (above 13 variables) or transformed.  f's own row is level 0's one
+    product, f*1.
 
     The first product that is zero or dependent marks the lowest-degree
     annihilator, so lda(f) comes with the pass.  The products span exactly
@@ -296,7 +330,7 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     lda_f: int | None = None
     for k, level in enumerate(monomials_by_degree(n)):
         seen += len(level)
-        products = _product_rows(f, level, to_degree)
+        products = _product_rows(f, level_tables(n, k), to_degree)
         for _ in level:
             if rank == weight:
                 if lda_f is None:
@@ -409,11 +443,10 @@ def _extract_witness(f: BooleanFunction, layer: _Layer) -> FaiWitness:
         v_anf = mobius(f.tt, n)
     else:
         v_anf = _permute(layer.row, _degree_order(n).to_degree[::-1])
-        monos = monomials_upto(n, k)
-        combo = solve_preimage(_products(f, monos), v_anf)
+        combo = solve_preimage(_products(f, k), v_anf)
         if combo is None:
             raise AssertionError("admissible product is outside the product span")
-        g_coeffs = monomial_sum(combo, monos)
+        g_coeffs = monomial_sum(combo, monomials_upto(n, k))
 
     if g_coeffs in (0, 1):
         raise AssertionError("FAI witness degenerated to a constant")
@@ -493,11 +526,11 @@ def fai_direct(f: BooleanFunction) -> int:
         raise ValueError("direct search supports n <= 5 (search-space guard)")
     eff = max(1, n // 2)
     monos = monomials_upto(n, eff)
-    picks = [monomial_tt(1 << t, len(monos)) for t in range(len(monos))]  # the selectors with bit t
+    picks = variable_tts(len(monos))  # picks[t]: the selectors with bit t, the truth table of x_(t+1)
     g_deg, p_deg = [0] * (eff + 2), [0] * (n + 2)
     for m, pick in zip(monos, picks):
         g_deg[m.bit_count()] |= pick
-    for b, column in enumerate(transpose(_products(f, monos)).data):
+    for b, column in enumerate(transpose(_products(f, eff)).data):
         p_deg[b.bit_count()] |= combine(column, picks)
     for masks in g_deg, p_deg:
         for d in range(len(masks) - 2, -1, -1):

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from faicodes.boolfun import (
+    _HELD_LEVEL_VARS,
     AffineMap,
     Anf,
     BooleanFunction,
@@ -11,7 +13,6 @@ from faicodes.boolfun import (
     anf_of,
     apply_affine,
     bar,
-    comonomial_tt,
     complement,
     concatenate,
     degree,
@@ -19,8 +20,10 @@ from faicodes.boolfun import (
     format_anf,
     format_function,
     interpolate_low_degree,
+    level_tables,
     monomial_sum,
     monomial_tt,
+    monomials_by_degree,
     monomials_upto,
     multiply,
     parse_function,
@@ -28,6 +31,7 @@ from faicodes.boolfun import (
     random_function,
     support,
     tt_of,
+    variable_tts,
     weight,
 )
 from faicodes.f2linalg import BitMatrix, solve_preimage
@@ -172,16 +176,63 @@ def test_monomial_tt():
     assert monomial_tt(0b11, 2) == 0b1000
 
 
+def _comonomial_tt(mask, n):
+    """prod_{j in mask} (1 + x_j) by reflection: its value at x is x^mask's at the complement of x."""
+    return int(f"{monomial_tt(mask, n):0{1 << n}b}"[::-1], 2)
+
+
 def test_comonomial_tt_marks_the_points_that_avoid_the_mask():
-    # prod_{j in m} (1 + x_j) is 1 exactly where no variable of m is set
+    # prod_{j in m} (1 + x_j) is 1 exactly where no variable of m is set: the co-monomial level tables
+    # and the reflected monomial tables the other tests compare them with
     def avoiding(m, n):
         return sum(1 << x for x in range(1 << n) if x & m == 0)
 
     for n in range(1, 7):
-        for m in range(1 << n):
-            assert comonomial_tt(m, n) == avoiding(m, n), (m, n)
+        for d, masks in enumerate(monomials_by_degree(n)):
+            want = tuple(avoiding(m, n) for m in masks)
+            assert level_tables(n, d, True) == want == tuple(_comonomial_tt(m, n) for m in masks), (n, d)
     for m in (0, 1, 0x8000, 0x0F0F, 0xFFFF):
-        assert comonomial_tt(m, 16) == avoiding(m, 16), m
+        d = m.bit_count()
+        at = monomials_by_degree(16)[d].index(m)
+        assert next(itertools.islice(level_tables(16, d, True), at, None)) == avoiding(m, 16), m
+        assert _comonomial_tt(m, 16) == avoiding(m, 16), m
+
+
+def test_level_tables_match_the_reference_tables():
+    # mask for mask, both kinds: every level up to _HELD_LEVEL_VARS, where levels are held tuples
+    assert _HELD_LEVEL_VARS == 13
+    for n in range(1, _HELD_LEVEL_VARS + 1):
+        for d, masks in enumerate(monomials_by_degree(n)):
+            assert level_tables(n, d) == tuple(monomial_tt(m, n) for m in masks), (n, d)
+            assert level_tables(n, d, True) == tuple(_comonomial_tt(m, n) for m in masks), (n, d)
+
+
+def test_level_tables_above_the_held_range_are_lazy_and_match():
+    # above 13 variables each level is a lazy map, new on every call; seeded levels, sampled masks
+    rng = random.Random(35)
+    for n in range(_HELD_LEVEL_VARS + 1, 17):
+        for d in (0, 1, rng.randrange(2, n - 1), n):
+            masks = monomials_by_degree(n)[d]
+            sample = set(rng.sample(range(len(masks)), min(len(masks), 12)))
+            for co, reference in ((False, monomial_tt), (True, _comonomial_tt)):
+                level = level_tables(n, d, co)
+                assert not isinstance(level, tuple) and level is not level_tables(n, d, co)
+                drawn = 0
+                for i, (m, table) in enumerate(zip(masks, level, strict=True)):
+                    if i in sample:
+                        assert table == reference(m, n), (n, d, co, m)
+                    drawn += 1
+                assert drawn == len(masks), (n, d, co)
+
+
+def test_variable_tts_are_the_degree_one_monomials():
+    # fai_direct's picks: picks[t] = monomial_tt(1 << t, len(monos)), at every width it uses and beyond
+    for n in range(1, 17):
+        assert variable_tts(n) == tuple(monomial_tt(1 << t, n) for t in range(n)), n
+        assert variable_tts(n) is variable_tts(n)
+    for n in range(1, 6):
+        width = len(monomials_upto(n, max(1, n // 2)))
+        assert variable_tts(width) == tuple(monomial_tt(1 << t, width) for t in range(width)), n
 
 
 def test_monomials_upto():

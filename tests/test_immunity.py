@@ -24,6 +24,7 @@ from faicodes.boolfun import (
     tt_of,
 )
 from faicodes.f2linalg import BitMatrix, _permute, insert, kernel_basis, rank, row_space_meet_dim, solve_preimage
+import faicodes.boolfun as boolfun
 import faicodes.immunity as immunity
 from faicodes.immunity import (
     ImmunityProfile,
@@ -296,7 +297,7 @@ def test_function_report_matches_public_calls():
 def test_fai_direct_buffers_stay_small():
     """The bit-sliced ints stay few at n = 5, each 8 KiB: under malloc's mmap threshold, no page faults."""
     f = parse_function("5:B41365B6")
-    expected = fai_direct(f)  # caches the selector columns monomial_tt(1 << t, 16) outside the measurement
+    expected = fai_direct(f)  # builds the selector columns variable_tts(16) outside the measurement
     tracemalloc.start()
     try:
         assert fai_direct(f) == expected
@@ -434,11 +435,12 @@ def test_packed_product_rows_match_per_row_transform():
         to_degree = _degree_order(n).to_degree
         size = 1 << n
         sparse = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+        tables = [monomial_tt(m, n) for m in level]
         for tt in (rng.getrandbits(size), sparse, 1 << rng.randrange(size), (1 << size) - 1):
             f = BooleanFunction(n, tt)
-            want = [_permute(mobius(tt & monomial_tt(m, n), n), to_degree) for m in level]
-            assert list(_product_rows(f, level, to_degree)) == want, (n, len(level), tt)
-            assert list(_product_rows(f, level)) == [mobius(tt & monomial_tt(m, n), n) for m in level]
+            want = [_permute(mobius(tt & table, n), to_degree) for table in tables]
+            assert list(_product_rows(f, tables, to_degree)) == want, (n, len(level), tt)
+            assert list(_product_rows(f, iter(tables))) == [mobius(tt & table, n) for table in tables]
 
 
 def _admissible_mu(rows, anf_f_perm, annihilators_ok):
@@ -756,17 +758,19 @@ def _floor_is_strictly_best(f, floor):
 def pass_levels(monkeypatch):
     """(tt, level) of each product pass insert, None for any other insert.
 
-    Each product row drawn is tagged with its function and level, and an
-    insert of that very row reads the tag; the column scans insert no drawn
-    row.  A row not inserted before the next is drawn, as the witness solve's
-    are, drops its tag.
+    Each product row drawn is tagged with its function and the level of its
+    monomial table, read off the table's weight: x^m holds on 2^(n - deg m)
+    points.  An insert of that very row reads the tag; the column scans
+    insert no drawn row.  A row not inserted before the next is drawn, as the
+    witness solve's are, drops its tag.
     """
     tags, levels = {}, []
     product_rows = immunity._product_rows
 
-    def tagged_rows(g, monos, network=()):
-        for row in product_rows(g, monos, network):
-            tags["at"] = row, (g.tt, monos[0].bit_count())
+    def tagged_rows(g, tables, network=()):
+        tables = tuple(tables)
+        for table, row in zip(tables, product_rows(g, tables, network)):
+            tags["at"] = row, (g.tt, g.n + 1 - table.bit_count().bit_length())
             yield row
             tags.pop("at", None)
 
@@ -1067,23 +1071,42 @@ def _lda_upto_cases():
             yield BooleanFunction(n, 1 << rng.randrange(size))
 
 
+def test_readers_hold_no_table_above_13_variables():
+    # a 20-point f at n = 14: both column scans, the witness and the pass's first two layers read levels
+    # 0..2 of both kinds, ANDed from the variables' tables as drawn; no level is added to the held ones
+    rng = random.Random(36)
+    f = BooleanFunction(14, sum(1 << x for x in rng.sample(range(1 << 14), 20)))
+    held = boolfun._held_level.cache_info().currsize
+    assert ai(f) == lda(f) == lda(f, 2) == 2  # C(14, <= 1) = 15 <= 20 < C(14, <= 2) = 106
+    g = annihilator_witness(f, 2)
+    assert g is not None and g.degree() == 2
+    assert [(lay.k, lay.rank) for lay in itertools.islice(_layers(f, 0), 2)] == [(1, 15), (2, 20)]
+    assert mul_space_basis(f, 1).rows == 15
+    assert boolfun._held_level.cache_info().currsize == held and 14 not in immunity._scan_stages
+
+
 def test_lda_upto_scans_no_level_above_upto(monkeypatch):
     # lda(f, upto) is lda(f) when that is <= upto, else None, and inserts no column of degree > upto;
-    # each insert is tagged with the degree of the co-monomial column the scan read last
-    degrees, at = [], {}
-    comonomial = immunity.comonomial_tt
+    # each insert is tagged with the level of the co-monomial table the scan drew last, and each scan
+    # stages its levels afresh, as noting generators are read once
+    degrees, at, stages = [], {}, {}
+    level_tables = immunity.level_tables
 
-    def noted_comonomial(m, n):
-        at["degree"] = m.bit_count()
-        return comonomial(m, n)
+    def noted_tables(n, d, co=False):
+        for table in level_tables(n, d, co):
+            at["degree"] = d
+            yield table
 
-    monkeypatch.setattr(immunity, "comonomial_tt", noted_comonomial)
+    monkeypatch.setattr(immunity, "level_tables", noted_tables)
+    monkeypatch.setattr(immunity, "_scan_stages", stages)
     monkeypatch.setattr(immunity, "insert", lambda slots, row: degrees.append(at["degree"]) or insert(slots, row))
     reached = 0  # bounded scans that inserted a column of degree upto
     for f in _lda_upto_cases():
+        stages.clear()
         want = lda(f)
         for upto in range(f.n + 1):
             del degrees[:]
+            stages.clear()
             assert lda(f, upto) == (want if want is not None and want <= upto else None), (f, upto)
             assert all(d <= upto for d in degrees), (f, upto)
             reached += upto in degrees and upto < f.n

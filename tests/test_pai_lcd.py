@@ -8,6 +8,7 @@ import faicodes.immunity as immunity
 from faicodes import f2linalg
 from faicodes.boolfun import (
     BooleanFunction,
+    _butterfly_masks,
     complement,
     degree,
     high_degree_masks,
@@ -18,7 +19,6 @@ from faicodes.boolfun import (
     monomials_upto,
     parse_function,
     random_nonconstant,
-    superset_parity,
 )
 from faicodes.codes import hull_dim, is_lcd, puncture, rm
 from faicodes.f2linalg import BitMatrix, rank
@@ -316,6 +316,13 @@ def test_first_full_order_gives_lda_of_complement():
     assert seen == {False, True}
 
 
+def _superset_parity(bits, n):
+    """The butterfly with its shift reversed: bit w is the parity of the bits x with x ⪰ w."""
+    for shift, mask in _butterfly_masks(n):
+        bits ^= (bits >> shift) & mask
+    return bits
+
+
 def _gram_hulls(f):
     """The Gram route, rank(G) - rank(G G^T) for the rows G of f*m_u, deg u <= e, at e = 1..n (Massey).
 
@@ -326,7 +333,7 @@ def _gram_hulls(f):
     n = f.n
     dims = _truth_table_ranks(f)
     high = high_degree_masks(n)
-    gamma = {0: superset_parity(f.tt, n)}
+    gamma = {0: _superset_parity(f.tt, n)}
     hulls = []
     for e, level in enumerate(monomials_by_degree(n)[1:], start=1):
         for u in level:
@@ -369,15 +376,20 @@ def test_pai_certificate_matches_unfloored_pass():
 
 def test_pai_certificate_permutes_only_the_read_layers(monkeypatch):
     # Carlet-Feng at offset 0: the lazy pass transforms the 130 (n = 9) or 93 (n = 8) products of
-    # levels 0..3, f's own among them; each row packed into a chunk reads one monomial table
+    # levels 0..3, f's own among them; each row packed into a chunk draws one monomial table
     calls = []
-    table = immunity.monomial_tt
+    level_tables = immunity.level_tables
 
-    def counting_table(mask, n):
-        calls.append(mask)
-        return table(mask, n)
+    def counted(d, tables):
+        for table in tables:
+            calls.append(d)
+            yield table
 
-    monkeypatch.setattr(immunity, "monomial_tt", counting_table)
+    def counting_tables(n, d, co=False):
+        tables = level_tables(n, d, co)
+        return tables if co else counted(d, tables)  # the floor's column scan reads co-monomial tables
+
+    monkeypatch.setattr(immunity, "level_tables", counting_tables)
     for n, bound in ((9, 131), (8, 94)):
         calls.clear()
         assert pai_certificate(function_from_columns(carlet_feng_support(n, 0)))["pai_by_def"]
