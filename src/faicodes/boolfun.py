@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import compress, count
+from functools import lru_cache
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, Sequence
 
 from .f2linalg import BitMatrix, combine, gather, rank, solve_preimage, transpose
@@ -77,46 +77,52 @@ def variable_tts(n: int) -> tuple[int, ...]:
     return tuple(mobius(1 << (1 << j), n) for j in range(n))
 
 
-@lru_cache(maxsize=None)
-def _factors(n: int, co: bool) -> tuple[int, tuple[int, ...]]:
-    """(the all-ones table, the tables a level's entries AND together): x_j, or 1 + x_j when co."""
-    ones = (1 << (1 << n)) - 1
-    return ones, tuple(ones ^ x for x in variable_tts(n)) if co else variable_tts(n)
+@dataclass(frozen=True)
+class _Level:
+    """Level d's tables for `level_tables`, built anew on each pass as they are drawn, and held nowhere.
 
+    Each is the AND of the variables' tables, or their complements when co, over the bits of its mask.
+    """
 
-def _and_table(ones: int, factors: tuple[int, ...], mask: int) -> int:
-    """The AND of factors[j] over the set bits j of mask; ones for mask 0."""
-    table = ones
-    while mask:
-        low = mask & -mask
-        table &= factors[low.bit_length() - 1]
-        mask ^= low
-    return table
+    n: int
+    d: int
+    co: bool
 
-
-def _built_level(n: int, d: int, co: bool) -> Iterator[int]:
-    """Level d's tables as a lazy map, each built as it is drawn."""
-    return map(partial(_and_table, *_factors(n, co)), monomials_by_degree(n)[d])
+    def __iter__(self) -> Iterator[int]:
+        ones = (1 << (1 << self.n)) - 1
+        factors = [ones ^ x for x in variable_tts(self.n)] if self.co else variable_tts(self.n)
+        for mask in monomials_by_degree(self.n)[self.d]:
+            table = ones
+            while mask:
+                low = mask & -mask
+                table &= factors[low.bit_length() - 1]
+                mask ^= low
+            yield table
 
 
 @lru_cache(maxsize=None)
 def _held_level(n: int, d: int, co: bool) -> tuple[int, ...]:
     """Level d's tables, built once and held."""
-    return tuple(_built_level(n, d, co))
+    return tuple(_Level(n, d, co))
 
 
 def level_tables(n: int, d: int, co: bool = False) -> Iterable[int]:
     """The truth tables of level d of monomials_by_degree(n), in its order: x^m, or prod_{j in m} (1 + x_j) when co.
 
-    Each table is the AND of the variables' tables (or their complements)
-    over the bits of m.  Up to _HELD_LEVEL_VARS variables a level is built
-    the first time it is asked for and held, a tuple.  Above, each table is
-    read from a lazy map as it is drawn and nothing is held: a scan or pass
-    there reads each mask once, so a held table would never be read again.
+    Any reader may keep what it is given.  Up to _HELD_LEVEL_VARS variables
+    a level is built the first time it is asked for and held, a tuple.
+    Above, it is a `_Level`, which builds each table as a pass draws it and
+    holds none: a scan or pass there reads each mask once, so a held table
+    would never be read again.
     """
     if n <= _HELD_LEVEL_VARS:
         return _held_level(n, d, co)
-    return _built_level(n, d, co)
+    return _Level(n, d, co)
+
+
+def tables_upto(n: int, k: int) -> Iterator[int]:
+    """The truth tables x^m of the masks of degree <= k, in monomials_upto order."""
+    return chain.from_iterable(level_tables(n, d) for d in range(min(k, n) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -304,9 +310,8 @@ def interpolate_low_degree(
         raise ValueError("the one-point must not be among the zeros")
     monos = monomials_upto(n, d)
     points = sorted(zeros) + [one]
-    # row i evaluates monos[i] at each point: 1 where the point covers the mask
-    rows = (sum(1 << j for j, pt in enumerate(points) if pt & m == m) for m in monos)
-    matrix = BitMatrix.from_rows(rows, len(points))
+    # row i evaluates monos[i] at each point
+    matrix = BitMatrix.from_rows((gather(table, points) for table in tables_upto(n, d)), len(points))
     target = 1 << (len(points) - 1)
     combo = solve_preimage(matrix, target)
     return None if combo is None else Anf(n, monomial_sum(combo, monos))

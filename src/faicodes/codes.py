@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import f2linalg
 from .f2linalg import BitMatrix, _benes, _gauss_jordan, _permute, gather, gram, rank, rref, transpose
-from .gf2m import FieldGF2n, enumerate_points, field_new, field_with_modulus
+from .gf2m import FieldGF2n, enumerate_points, field_of_degree, field_with_modulus
 from .boolfun import monomial_tt, monomials_upto
 
 MIN_WEIGHT_DIM_GUARD = 24
@@ -43,8 +43,13 @@ def code_from_rows(rows: Iterable[int], length: int) -> LinearCode:
 
 @lru_cache(maxsize=None)
 def _rm_cached(d: int, n: int, modulus: int) -> LinearCode:
-    """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus."""
-    # each row is a monomial's truth table gathered into the point order
+    """RM(d, n) on the point enumeration of GF(2^n) built on the given modulus.
+
+    Each row is a monomial's truth table by its own butterfly (`monomial_tt`),
+    gathered into the point order: the punctured-RM oracle builds its tables
+    apart from the level tables the product pass reads (notes/decisions.md,
+    section 19).
+    """
     to_points = _benes(enumerate_points(field_with_modulus(n, modulus)))[::-1]
     return code_from_rows((_permute(monomial_tt(m, n), to_points) for m in monomials_upto(n, d)), 1 << n)
 
@@ -53,11 +58,7 @@ def rm(d: int, n: int, field: FieldGF2n | None = None) -> LinearCode:
     """Reed-Muller code of order d: column j evaluates at the j-th enumerated point."""
     if not 0 <= d <= n:
         raise ValueError(f"order {d} out of range 0..{n}")
-    if field is None:
-        field = field_new(n)
-    elif field.n != n:
-        raise ValueError("field degree does not match the variable count")
-    return _rm_cached(d, n, field.modulus)
+    return _rm_cached(d, n, field_of_degree(n, field).modulus)
 
 
 def dual(c: LinearCode) -> LinearCode:

@@ -52,6 +52,15 @@ def field_new(n: int) -> FieldGF2n:
     raise AssertionError(f"no primitive polynomial of degree {n}")  # never happens
 
 
+def field_of_degree(n: int, field: FieldGF2n | None) -> FieldGF2n:
+    """field, checked to have degree n; field_new(n) when None."""
+    if field is None:
+        return field_new(n)
+    if field.n != n:
+        raise ValueError("field degree does not match the variable count")
+    return field
+
+
 def field_with_modulus(n: int, modulus: int) -> FieldGF2n:
     """Field on an explicit modulus; rejects non-primitive polynomials."""
     if not MIN_DEGREE <= n <= MAX_DEGREE:

@@ -9,15 +9,13 @@ when f has a nonzero annihilator of degree <= k.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice, takewhile
+from itertools import accumulate, islice, takewhile
 from math import inf
 from typing import Iterable, Iterator, NamedTuple
 
 from .boolfun import (
-    _HELD_LEVEL_VARS,
     MAX_VARS,
     Anf,
     BooleanFunction,
@@ -31,6 +29,7 @@ from .boolfun import (
     monomial_sum,
     monomials_by_degree,
     monomials_upto,
+    tables_upto,
     variable_tts,
 )
 from .f2linalg import BitMatrix, _benes, _Network, _permute, combine, insert, rref, solve_preimage, transpose
@@ -77,32 +76,14 @@ class FaiResult:
         return self.profile_bound != self.value
 
 
-_Stage = tuple[tuple[int, int, Iterable[int]], ...]
+@lru_cache(maxsize=None)
+def _scan_levels(n: int) -> tuple[tuple[int, int, Iterable[int]], ...]:
+    """(d, C(n, <= d), level_tables(n, d, True)) for d = 0..n: every level a column scan may read.
 
-# per n <= _HELD_LEVEL_VARS, the levels the column scans have read so far: (d, C(n, <= d), level d's co-monomial tables)
-_scan_stages: dict[int, _Stage] = {}
-
-
-def _stage(n: int, lightest: int, limit: int) -> _Stage:
-    """The levels 0..min(limit, stop) a column scan of that lightest weight, bounded at limit, reads.
-
-    stop is the first d with C(n, <= d) > lightest, where the scan returns
-    on the count alone, so that level carries no tables.  Up to
-    _HELD_LEVEL_VARS variables the stage is held, and a later scan replaces
-    it only when it reads past it, so no level is built before a scan reads
-    it and a stage never shrinks.  Above, each scan stages lazy maps afresh.
+    Up to 13 variables these are the held tuples, built on the first scan of n; above, they hold nothing.
     """
-    counts = tuple(accumulate(map(len, monomials_by_degree(n))))
-    stop = bisect_right(counts, lightest)
-    stage = tuple((d, counts[d], level_tables(n, d, True) if d < stop else ()) for d in range(min(limit, stop) + 1))
-    if n <= _HELD_LEVEL_VARS:
-        _scan_stages[n] = stage
-    return stage
-
-
-def _tables_upto(n: int, k: int) -> Iterator[int]:
-    """The truth tables x^m of the masks of degree <= k, in monomials_upto order."""
-    return chain.from_iterable(level_tables(n, d) for d in range(min(k, n) + 1))
+    counts = accumulate(map(len, monomials_by_degree(n)))
+    return tuple((d, count, level_tables(n, d, True)) for d, count in enumerate(counts))
 
 
 def _first_dependency(n: int, tts: tuple[int, ...], upto: int | None = None) -> int | None:
@@ -118,14 +99,13 @@ def _first_dependency(n: int, tts: tuple[int, ...], upto: int | None = None) -> 
     co-monomial column leads at ~m whenever ~m is in supp(tt), so leads
     mostly differ (notes/decisions.md, section 14).
 
-    The scan reads its levels off one `_stage` tuple of (d, C(n, <= d), the
-    level's co-monomial tables), held per n up to _HELD_LEVEL_VARS
-    variables, so it makes no lookup per level or per column, and it reads
-    each table once for all tables tt.  Each tt's columns go into its own
-    XOR basis, level by level.  They live on supp(tt), so once C(n, <= d)
-    exceeds the lightest weight, level d is dependent and no lower level
-    was: d is returned without reading its tables.  No level above upto,
-    when given, is read.  None when no column scanned depends.
+    The scan reads its levels off the per-n tuple `_scan_levels(n)`, so it
+    makes no lookup per level or per column, and it reads each table once
+    for all tables tt.  Each tt's columns go into its own XOR basis, level
+    by level.  They live on supp(tt), so once C(n, <= d) exceeds the
+    lightest weight, level d is dependent and no lower level was: d is
+    returned without reading its tables.  No level above upto, when given,
+    is read.  None when no column scanned depends.
 
     Level 0's one column is tt itself, nonzero once the weight test passed,
     so it seeds each empty basis in the slot insert would give it.
@@ -139,10 +119,7 @@ def _first_dependency(n: int, tts: tuple[int, ...], upto: int | None = None) -> 
         slots[tt.bit_length()] = tt
         bases.append((tt, slots))
     limit = n if upto is None else max(min(upto, n), 0)
-    stage = _scan_stages.get(n)
-    if stage is None or len(stage) <= limit + 1 and stage[-1][1] <= lightest:
-        stage = _stage(n, lightest, limit)
-    for d, count, level in stage[1 : limit + 1]:
+    for d, count, level in _scan_levels(n)[1 : limit + 1]:
         if count > lightest:
             return d
         for column in level:
@@ -177,7 +154,7 @@ def annihilator_witness(f: BooleanFunction, e: int) -> Anf | None:
     monos = monomials_upto(n, e)
     width = len(monos)
     slots = [0] * ((1 << n) + width + 1)
-    for i, table in enumerate(_tables_upto(n, e)):
+    for i, table in enumerate(tables_upto(n, e)):
         insert(slots, (f.tt & table) << width | 1 << i)
         if slots[i + 1]:
             g = Anf(n, monomial_sum(slots[i + 1], monos))
@@ -224,7 +201,7 @@ def _product_rows(f: BooleanFunction, tables: Iterable[int], network: _Network =
 
 def _products(f: BooleanFunction, k: int) -> BitMatrix:
     """The ANFs of f*m, one 2^n-bit row per monomial m of degree <= k, in monomials_upto order."""
-    return BitMatrix.from_rows(_product_rows(f, _tables_upto(f.n, k)), 1 << f.n)
+    return BitMatrix.from_rows(_product_rows(f, tables_upto(f.n, k)), 1 << f.n)
 
 
 def mul_space_basis(f: BooleanFunction, k: int) -> BitMatrix:
@@ -288,8 +265,8 @@ def _layers(f: BooleanFunction, floor: int) -> Iterator[_Layer]:
     one pass of to_degree per chunk.  A chunk's tables are drawn and the
     chunk transformed when the pass takes its first row, so a stop wastes at
     most the rest of one chunk, and a level the pass never reaches is never
-    built (above 13 variables) or transformed.  f's own row is level 0's one
-    product, f*1.
+    transformed, nor built above 13 variables (`level_tables`).  f's own
+    row is level 0's one product, f*1.
 
     The first product that is zero or dependent marks the lowest-degree
     annihilator, so lda(f) comes with the pass.  The products span exactly

@@ -33,7 +33,7 @@ from .codes import (
     rm,
 )
 from .f2linalg import row_space_meet_dim
-from .gf2m import FieldGF2n, enumerate_points, field_new
+from .gf2m import FieldGF2n, enumerate_points, field_of_degree
 from .immunity import _layers, fai, lda
 
 
@@ -53,21 +53,14 @@ class SupportColumns:
         return frozenset(range(1 << self.n)) - self.cols
 
 
-def _points(n: int, field: FieldGF2n | None) -> tuple[int, ...]:
-    """The RM column order of GF(2^n) on field, by default the default field."""
-    if field is not None and field.n != n:
-        raise ValueError("field degree does not match the variable count")
-    return enumerate_points(field or field_new(n))
-
-
 def support_columns(f: BooleanFunction, field: FieldGF2n | None = None) -> SupportColumns:
-    pts = _points(f.n, field)
+    pts = enumerate_points(field_of_degree(f.n, field))
     cols = frozenset(j for j, pt in enumerate(pts) if (f.tt >> pt) & 1)
     return SupportColumns(f.n, cols)
 
 
 def function_from_columns(sc: SupportColumns, field: FieldGF2n | None = None) -> BooleanFunction:
-    pts = _points(sc.n, field)
+    pts = enumerate_points(field_of_degree(sc.n, field))
     tt = 0
     for j in sc.cols:
         tt |= 1 << pts[j]

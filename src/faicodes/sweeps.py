@@ -33,8 +33,6 @@ from .boolfun import (
     format_function,
     interpolate_low_degree,
     mobius,
-    monomial_sum,
-    monomials_by_degree,
     monomials_upto,
     multiply,
     random_affine_map,
@@ -42,6 +40,7 @@ from .boolfun import (
     random_nonconstant,
     support,
     tt_of,
+    variable_tts,
     weight,
 )
 from .codes import (
@@ -220,7 +219,7 @@ def sweep_f2linalg(n: int, trials: int, seed: int) -> SweepReport:
 def _tightness_instance(n: int, rng: random.Random) -> BooleanFunction:
     """A function whose support strictly contains that of a nonconstant affine l."""
     a = rng.randrange(1, 1 << n)
-    tt = _linear_tt(a, n) ^ mobius(rng.getrandbits(1), n)  # the constant 1 has the all-ones table
+    tt = fl.combine(a, variable_tts(n)) ^ mobius(rng.getrandbits(1), n)  # the constant 1 has the all-ones table
     extra = rng.randrange(1 << n)
     while (tt >> extra) & 1:
         extra = rng.randrange(1 << n)
@@ -344,7 +343,7 @@ def _random_low_weight(n: int, max_weight: int, rng: random.Random) -> BooleanFu
 
 def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
     rep, rng = _start("approximation", n, trials, seed, lo=2)
-    linear_tts = [_linear_tt(a, n) for a in range(1, 1 << n)]
+    linear_tts = [fl.combine(a, variable_tts(n)) for a in range(1, 1 << n)]
     for _ in range(trials):
         f = random_nonconstant(n, rng)
         # AI perturbation bound
@@ -408,11 +407,6 @@ def sweep_approximation(n: int, trials: int, seed: int) -> SweepReport:
             )
             rep.check(ok, "interpolation-valid", f"zeros={sorted(zeros)} one={one} d={d_i}")
     return rep
-
-
-def _linear_tt(a: int, n: int) -> int:
-    """Truth table of the linear form x -> a.x."""
-    return mobius(monomial_sum(a, monomials_by_degree(n)[1]), n)
 
 
 # --- concatenation ----------------------------------------------------------

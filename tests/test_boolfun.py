@@ -208,7 +208,8 @@ def test_level_tables_match_the_reference_tables():
 
 
 def test_level_tables_above_the_held_range_are_lazy_and_match():
-    # above 13 variables each level is a lazy map, new on every call; seeded levels, sampled masks
+    # above 13 variables each level is a lazy, re-iterable object, new on every call: each pass builds the
+    # same tables anew; seeded levels, sampled masks
     rng = random.Random(35)
     for n in range(_HELD_LEVEL_VARS + 1, 17):
         for d in (0, 1, rng.randrange(2, n - 1), n):
@@ -217,12 +218,12 @@ def test_level_tables_above_the_held_range_are_lazy_and_match():
             for co, reference in ((False, monomial_tt), (True, _comonomial_tt)):
                 level = level_tables(n, d, co)
                 assert not isinstance(level, tuple) and level is not level_tables(n, d, co)
-                drawn = 0
+                hashes = []
                 for i, (m, table) in enumerate(zip(masks, level, strict=True)):
                     if i in sample:
                         assert table == reference(m, n), (n, d, co, m)
-                    drawn += 1
-                assert drawn == len(masks), (n, d, co)
+                    hashes.append(hash(table))
+                assert [hash(table) for table in level] == hashes, (n, d, co)
 
 
 def test_variable_tts_are_the_degree_one_monomials():

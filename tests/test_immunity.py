@@ -1082,31 +1082,42 @@ def test_readers_hold_no_table_above_13_variables():
     assert g is not None and g.degree() == 2
     assert [(lay.k, lay.rank) for lay in itertools.islice(_layers(f, 0), 2)] == [(1, 15), (2, 20)]
     assert mul_space_basis(f, 1).rows == 15
-    assert boolfun._held_level.cache_info().currsize == held and 14 not in immunity._scan_stages
+    assert not any(isinstance(level, tuple) for _, _, level in immunity._scan_levels(14))
+    assert boolfun._held_level.cache_info().currsize == held
+
+
+def test_column_scans_read_the_held_level_tuples():
+    # up to 13 variables each level the scans read is the very tuple level_tables holds: one copy per table
+    for n in range(1, boolfun._HELD_LEVEL_VARS + 1):
+        levels = immunity._scan_levels(n)
+        assert [d for d, _, _ in levels] == list(range(n + 1)), n
+        for d, count, level in levels:
+            assert count == sum(math.comb(n, i) for i in range(d + 1)), (n, d)
+            assert level is boolfun.level_tables(n, d, True), (n, d)
 
 
 def test_lda_upto_scans_no_level_above_upto(monkeypatch):
     # lda(f, upto) is lda(f) when that is <= upto, else None, and inserts no column of degree > upto;
-    # each insert is tagged with the level of the co-monomial table the scan drew last, and each scan
-    # stages its levels afresh, as noting generators are read once
-    degrees, at, stages = [], {}, {}
-    level_tables = immunity.level_tables
+    # each insert is tagged with the level of the co-monomial table the scan drew last; each scan gets
+    # its noting generators afresh from a wrapper, so none is read twice or left in _scan_levels' cache
+    degrees, at = [], {}
+    scan_levels = immunity._scan_levels
 
-    def noted_tables(n, d, co=False):
-        for table in level_tables(n, d, co):
+    def noted(d, level):
+        for table in level:
             at["degree"] = d
             yield table
 
-    monkeypatch.setattr(immunity, "level_tables", noted_tables)
-    monkeypatch.setattr(immunity, "_scan_stages", stages)
+    def noted_levels(n):
+        return tuple((d, count, noted(d, level)) for d, count, level in scan_levels(n))
+
+    monkeypatch.setattr(immunity, "_scan_levels", noted_levels)
     monkeypatch.setattr(immunity, "insert", lambda slots, row: degrees.append(at["degree"]) or insert(slots, row))
     reached = 0  # bounded scans that inserted a column of degree upto
     for f in _lda_upto_cases():
-        stages.clear()
         want = lda(f)
         for upto in range(f.n + 1):
             del degrees[:]
-            stages.clear()
             assert lda(f, upto) == (want if want is not None and want <= upto else None), (f, upto)
             assert all(d <= upto for d in degrees), (f, upto)
             reached += upto in degrees and upto < f.n

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -376,9 +377,11 @@ def test_pai_certificate_matches_unfloored_pass():
 
 def test_pai_certificate_permutes_only_the_read_layers(monkeypatch):
     # Carlet-Feng at offset 0: the lazy pass transforms the 130 (n = 9) or 93 (n = 8) products of
-    # levels 0..3, f's own among them; each row packed into a chunk draws one monomial table
+    # levels 0..3, f's own among them; each row packed into a chunk draws one monomial table.  The
+    # column scan reads its levels through a fresh cache, so _scan_levels' own is left as it was found
     calls = []
-    level_tables = immunity.level_tables
+    level_tables, scan_levels = immunity.level_tables, immunity._scan_levels
+    found = scan_levels.cache_info()
 
     def counted(d, tables):
         for table in tables:
@@ -390,10 +393,12 @@ def test_pai_certificate_permutes_only_the_read_layers(monkeypatch):
         return tables if co else counted(d, tables)  # the floor's column scan reads co-monomial tables
 
     monkeypatch.setattr(immunity, "level_tables", counting_tables)
+    monkeypatch.setattr(immunity, "_scan_levels", lru_cache(maxsize=None)(scan_levels.__wrapped__))
     for n, bound in ((9, 131), (8, 94)):
         calls.clear()
         assert pai_certificate(function_from_columns(carlet_feng_support(n, 0)))["pai_by_def"]
         assert len(calls) <= bound, (n, len(calls))
+    assert scan_levels.cache_info() == found
 
 
 def test_support_columns_type():
